@@ -11,7 +11,7 @@ infinite family (84, 96, ... vertices).
 
 import json
 
-from lambdapack import Budget, Mode, PackingProblem, check_packing, solve
+from lambdapack import Mode, PackingProblem, check_packing, solve
 from lambdapack.certify import (
     certificate_to_json,
     check_certificate,
@@ -39,8 +39,7 @@ print("tampered copy valid =", check_certificate(data))
 
 print("\n=== pinning lambda(N) = 23 ===")
 n_graph = build_pipeline().graph("N")
-lower = solve(PackingProblem(n_graph, Mode.MAX),
-              budget=Budget(max_seconds=600), target=23)
+lower = solve(PackingProblem(n_graph, Mode.MAX), target=23)
 check_packing(PackingProblem(n_graph, Mode.MAX), lower.paths)
 print(f"found a packing of {lower.value} disjoint paths "
       f"({3 * lower.value} of {n_graph.n} vertices covered)")

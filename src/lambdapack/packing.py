@@ -1,25 +1,38 @@
 """Exact decision and optimization for packings of 3-vertex paths.
 
 A packing is a set of vertex-disjoint paths on 3 vertices; a factor is a
-packing covering every (non-deleted) vertex.  ``solve`` answers two kinds
+packing covering every (non-deleted) vertex.  ``solve`` answers three kinds
 of query over a :class:`PackingProblem`:
 
 * FACTOR -- does a factor exist subject to the constraints (deleted
   vertices/edges, forbidden edges, forced edges)?  Returns SAT with a
   witness or UNSAT after exhaustion.
-* MAX -- the maximum packing size, with witness.  Exact optimization is
-  intended for at most ~36 live vertices; pass ``target=`` on larger
-  instances to ask only for a packing of at least that size.
+* MAX -- the maximum packing size, with witness (OPTIMUM).
+* ``target=k`` (MAX mode) -- is there a packing of at least k paths?
+  Returns SAT with a witness of exactly k paths, or UNSAT.
+
+All of them, and :func:`enumerate_factors`, run one depth-first search:
+find a packing of the free vertices that leaves at most ``slack`` of them
+uncovered and covers every forced edge.  FACTOR is slack 0; ``target=k``
+is slack live - 3k; MAX starts at the residue bound, the sum over
+components of (size mod 3), and raises the slack by 3 until the search
+succeeds, so the first success is optimal; enumeration is slack 0,
+collecting every solution.
 
 The search is deterministic: branch on the lowest-id uncovered vertex
 (paths through unsatisfied forced edges first), candidate paths in
-ascending canonical order, so verdicts and witnesses are reproducible.
-State is kept in bitmasks; independent residual components are solved
-separately and memoized.  The main pruning rule is residue counting: in
-FACTOR mode any residual component whose size is not divisible by 3 kills
-the branch.  Optional seam annotations (one side of a small matching edge
-cut, as produced by the composition operators) add an equivalent parity
-check keyed to the cut, tallied separately in the statistics.
+ascending canonical order, then leaving the vertex uncovered while slack
+remains, so verdicts and witnesses are reproducible.  State is kept in
+bitmasks and the frames run on an explicit stack, so input size never
+meets Python's recursion limit.  Independent residual components are
+solved separately: the smaller ones are deepened to their least
+deficiency, the largest gets the rest of the slack, and a failure memo
+keyed on (component, forced edges) keeps the largest slack known to fail.
+The main pruning rule is residue counting: a component of size m leaves
+at least m mod 3 vertices uncovered.  Optional seam annotations (one side
+of a small matching edge cut, as produced by the composition operators)
+add a parity check keyed to the cut at slack 0, tallied separately in the
+statistics; with uncovered vertices allowed the check would be unsound.
 
 Budgets (node count and wall time) turn an unfinished search into an
 explicit INDETERMINATE result, never a silent wrong answer.  Every SAT or
@@ -33,7 +46,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .graph import CutReport, Edge, Graph, is_cubic, norm_edge
 
@@ -252,6 +265,11 @@ def _bits(mask: int) -> list[int]:
 
 _MEMO_CAP = 1_000_000
 
+# A search frame is a generator: it yields (path placed or None, child
+# frame), receives the child's witness (a list of triples) or None, and
+# returns its own.
+_Frame = Generator
+
 
 class _Engine:
     def __init__(
@@ -271,8 +289,12 @@ class _Engine:
         self.stats = SolveStats()
         self.deadline = time.monotonic() + budget.max_seconds
         self.start = time.monotonic()
-        self.memo: dict = {}
+        # (component, forced edges in it) -> largest slack known to fail
+        self.memo: dict[tuple[int, tuple[Edge, ...]], int] = {}
         self.seams = [self._prep_seam(s) for s in seams]
+        # enumeration mode: every factor found, in branch order
+        self.factors: list[tuple[Triple, ...]] | None = None
+        self.chosen: list[Triple | None] = []
 
     def _prep_seam(self, seam: Seam) -> tuple[int, tuple[Edge, ...]]:
         """Restrict a seam to usable cut edges; deletions may shrink the cut.
@@ -333,7 +355,10 @@ class _Engine:
         return comps
 
     def _seam_check(self, free: int) -> bool:
-        """False when some fully decided seam has unbalanced residue."""
+        """False when some fully decided seam has unbalanced residue.
+
+        Sound only when every vertex of ``free`` must be covered (slack 0).
+        """
         for side, cut in self.seams:
             undecided = False
             for u, v in cut:
@@ -342,7 +367,7 @@ class _Engine:
                     break
             if undecided:
                 continue
-            if (side & free) and bin(side & free).count("1") % 3 != 0:
+            if (side & free) and (side & free).bit_count() % 3 != 0:
                 self.stats.prunes["seam_parity"] += 1
                 return False
         return True
@@ -373,178 +398,150 @@ class _Engine:
                 out.append((u, v, y) if u < y else (y, v, u))
         return sorted(set(out))
 
-    # -- FACTOR search -----------------------------------------------------
+    # -- the deficiency-bounded search ------------------------------------
 
-    def factor(self) -> tuple[Triple, ...] | None:
-        for u, v in self.problem.forced_edges:
-            if not ((self.alive_mask >> u) & 1 and (self.alive_mask >> v) & 1):
-                return None
-        forced = tuple(sorted(self.problem.forced_edges))
-        return self._factor_split(self.alive_mask, forced)
+    def search(
+        self, free: int, slack: int, forced: tuple[Edge, ...]
+    ) -> list[Triple] | None:
+        """A packing of ``free`` that leaves at most ``slack`` of its vertices
+        uncovered and covers every forced edge, or None when none exists.
 
-    def _factor_split(
-        self, free: int, forced: tuple[Edge, ...]
-    ) -> tuple[Triple, ...] | None:
-        if free == 0:
-            return ()
+        Frames run on an explicit stack, so the depth of the search is not
+        bounded by Python's recursion limit.
+        """
         for u, v in forced:
             if not ((free >> u) & 1 and (free >> v) & 1):
                 self.stats.prunes["forced_dead"] += 1
                 return None
-        if not self._seam_check(free):
+        stack = [self._split(free, slack, forced)]
+        chosen = self.chosen = []
+        result: list[Triple] | None = None
+        while True:
+            try:
+                path, child = stack[-1].send(result)
+            except StopIteration as stop:
+                stack.pop()
+                if not stack:
+                    return stop.value
+                chosen.pop()
+                result = stop.value
+            else:
+                stack.append(child)
+                chosen.append(path)
+                result = None
+
+    def _split(self, free: int, slack: int, forced: tuple[Edge, ...]) -> _Frame:
+        """Any free set: solve its components one by one, sharing the slack.
+
+        Each component leaves at least its size mod 3 uncovered.  The smaller
+        components are deepened from that residue in steps of 3 until one
+        succeeds, which finds their least deficiency; the largest component
+        gets all the slack that is left, in one pass.
+        """
+        if free == 0:
+            if self.factors is None:
+                return []
+            self.factors.append(tuple(p for p in self.chosen if p is not None))
             return None
         comps = self._components(free)
-        if len(comps) == 1:
-            return self._factor_comp(comps[0], forced)
+        need = sum(c.bit_count() % 3 for c in comps)
+        if need > slack:
+            self.stats.prunes["residue"] += 1
+            return None
+        if len(comps) == 1 or self.factors is not None:
+            return (yield None, self._comp(free, slack, forced))
+        largest = max(comps, key=int.bit_count)
+        comps.remove(largest)
+        comps.append(largest)
+        memo = self.memo
         out: list[Triple] = []
         for comp in comps:
-            fc = tuple(e for e in forced if (comp >> e[0]) & 1)
-            sub = self._factor_cached(comp, fc)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return tuple(out)
+            size = comp.bit_count()
+            need -= size % 3
+            room = slack - need
+            room -= (room - size) % 3
+            key = (comp, tuple(e for e in forced if (comp >> e[0]) & 1))
+            if size < 3 and not key[1]:
+                slack -= size  # no path fits: all of it stays uncovered
+                continue
+            s = room if comp == largest else size % 3
+            failed = memo.get(key, -1)
+            if failed >= s:
+                self.stats.prunes["memo_hit"] += 1
+                s = failed + 3
+            while True:
+                if s > room:
+                    return None
+                sub = yield None, self._comp(comp, s, key[1])
+                if sub is not None:
+                    break
+                if key in memo or len(memo) < _MEMO_CAP:
+                    memo[key] = s
+                s += 3
+            slack -= size - 3 * len(sub)
+            out += sub
+        return out
 
-    def _factor_cached(
-        self, comp: int, forced: tuple[Edge, ...]
-    ) -> tuple[Triple, ...] | None:
-        key = (comp, forced)
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            self.stats.prunes["memo_hit"] += 1
-            return hit
-        res = self._factor_comp(comp, forced)
-        if len(self.memo) < _MEMO_CAP:
-            self.memo[key] = res
-        return res
-
-    def _factor_comp(
-        self, comp: int, forced: tuple[Edge, ...]
-    ) -> tuple[Triple, ...] | None:
+    def _comp(self, comp: int, slack: int, forced: tuple[Edge, ...]) -> _Frame:
+        """One connected free set: cover its first forced edge, else its
+        lowest vertex by each candidate path in order, or leave that vertex
+        uncovered while slack remains."""
         self._tick()
-        if bin(comp).count("1") % 3 != 0:
+        size = comp.bit_count()
+        slack -= (slack - size) % 3
+        if slack < 0:
             self.stats.prunes["residue"] += 1
             return None
         if forced:
-            u, v = forced[0]
-            moves = self._paths_through_edge(u, v, comp)
+            moves = self._paths_through_edge(*forced[0], comp)
         else:
             v = (comp & -comp).bit_length() - 1
             moves = self._paths_covering(v, comp)
-        if not moves:
+        if not moves and (forced or not slack):
             self.stats.prunes["stranded"] += 1
             return None
+        adj = self.adj
         for path in moves:
-            pmask = (1 << path[0]) | (1 << path[1]) | (1 << path[2])
-            pedges = {
-                norm_edge(path[0], path[1]),
-                norm_edge(path[1], path[2]),
-            }
-            rest = tuple(e for e in forced if e not in pedges)
-            sub = self._factor_split(comp & ~pmask, rest)
+            a, b, c = path
+            rest = comp & ~((1 << a) | (1 << b) | (1 << c))
+            rest_forced = forced
+            if forced:
+                covered = (norm_edge(a, b), norm_edge(b, c))
+                rest_forced = tuple(e for e in forced if e not in covered)
+                if any(
+                    not ((rest >> u) & 1 and (rest >> w) & 1) for u, w in rest_forced
+                ):
+                    self.stats.prunes["forced_dead"] += 1
+                    continue
+            child = self._frame(rest, slack, rest_forced, adj[a] | adj[b] | adj[c])
+            if child is None:
+                continue
+            sub = yield path, child
             if sub is not None:
-                return (path,) + sub
-        return None
-
-    # -- MAX search --------------------------------------------------------
-
-    def max_value(self) -> tuple[int, tuple[Triple, ...]] | None:
-        """Exact maximum with witness; None when forced edges are unsatisfiable."""
-        forced = tuple(sorted(self.problem.forced_edges))
-        return self._max_forced(self.alive_mask, forced)
-
-    def _max_forced(
-        self, free: int, forced: tuple[Edge, ...]
-    ) -> tuple[int, tuple[Triple, ...]] | None:
-        if not forced:
-            return self._max_split(free)
-        u, v = forced[0]
-        if not ((free >> u) & 1 and (free >> v) & 1):
+                sub.append(path)
+                return sub
+        if forced or not slack:
             return None
-        best: tuple[int, tuple[Triple, ...]] | None = None
-        for path in self._paths_through_edge(u, v, free):
-            pmask = (1 << path[0]) | (1 << path[1]) | (1 << path[2])
-            pedges = {norm_edge(path[0], path[1]), norm_edge(path[1], path[2])}
-            rest = tuple(e for e in forced if e not in pedges)
-            sub = self._max_forced(free & ~pmask, rest)
-            if sub is None:
-                continue
-            cand = (sub[0] + 1, (path,) + sub[1])
-            if best is None or cand[0] > best[0]:
-                best = cand
-        return best
-
-    def _max_split(self, free: int) -> tuple[int, tuple[Triple, ...]]:
-        total = 0
-        paths: list[Triple] = []
-        for comp in self._components(free):
-            val, wit = self._max_cached(comp)
-            total += val
-            paths.extend(wit)
-        return total, tuple(paths)
-
-    def _max_cached(self, comp: int) -> tuple[int, tuple[Triple, ...]]:
-        hit = self.memo.get(comp)
-        if hit is not None:
-            self.stats.prunes["memo_hit"] += 1
-            return hit
-        res = self._max_comp(comp)
-        if len(self.memo) < _MEMO_CAP:
-            self.memo[comp] = res
-        return res
-
-    def _max_comp(self, comp: int) -> tuple[int, tuple[Triple, ...]]:
-        self._tick()
-        size = bin(comp).count("1")
-        if size < 3:
-            return 0, ()
-        v = (comp & -comp).bit_length() - 1
-        best = -1
-        best_wit: tuple[Triple, ...] = ()
-        for path in self._paths_covering(v, comp):
-            pmask = (1 << path[0]) | (1 << path[1]) | (1 << path[2])
-            rest = comp & ~pmask
-            if 1 + bin(rest).count("1") // 3 <= best:
-                self.stats.prunes["bound"] += 1
-                continue
-            val, wit = self._max_split(rest)
-            if 1 + val > best:
-                best = 1 + val
-                best_wit = (path,) + wit
-        # exclude v from the packing
         rest = comp & ~(1 << v)
-        if bin(rest).count("1") // 3 > best:
-            val, wit = self._max_split(rest)
-            if val > best:
-                best = val
-                best_wit = wit
-        else:
-            self.stats.prunes["bound"] += 1
-        return best, best_wit
+        child = self._frame(rest, slack - 1, (), adj[v])
+        return None if child is None else (yield None, child)
 
-    # -- target search (decision: packing of size >= need) ------------------
+    def _frame(
+        self, rest: int, slack: int, forced: tuple[Edge, ...], near: int
+    ) -> _Frame | None:
+        """The frame for what is left of a connected set after a removal,
+        or None when the seam parity check already rules it out.
 
-    def target(self, need: int) -> tuple[Triple, ...] | None:
-        forced = tuple(sorted(self.problem.forced_edges))
-        if forced:
-            raise PackingError("target search does not support forced edges")
-        return self._target(self.alive_mask, need)
-
-    def _target(self, free: int, need: int) -> tuple[Triple, ...] | None:
-        if need <= 0:
-            return ()
-        self._tick()
-        ub = sum(bin(c).count("1") // 3 for c in self._components(free))
-        if ub < need:
-            self.stats.prunes["bound"] += 1
+        When the removed vertices keep at most one free neighbour (``near``
+        is their neighbourhood) the rest is still connected, so the
+        component split is skipped.
+        """
+        if not slack and self.seams and not self._seam_check(rest):
             return None
-        v = (free & -free).bit_length() - 1
-        for path in self._paths_covering(v, free):
-            pmask = (1 << path[0]) | (1 << path[1]) | (1 << path[2])
-            sub = self._target(free & ~pmask, need - 1)
-            if sub is not None:
-                return (path,) + sub
-        return self._target(free & ~(1 << v), need)
+        near &= rest
+        if rest and not near & (near - 1):
+            return self._comp(rest, slack, forced)
+        return self._split(rest, slack, forced)
 
     # -- greedy fallback (lower bound when a MAX budget runs out) -----------
 
@@ -564,9 +561,6 @@ class _Engine:
         return tuple(out)
 
 
-_MISS = object()
-
-
 # ----------------------------------------------------------------------
 # Public solve entry points
 # ----------------------------------------------------------------------
@@ -581,29 +575,39 @@ def solve(
     """Run the exact search for a problem; see the module docstring.
 
     ``target`` (MAX mode only) asks for any packing of size >= target and
-    returns SAT/UNSAT instead of OPTIMUM.
+    returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
+    ``target`` paths, unless the paths covering forced edges outnumber it.
     """
     budget = budget or Budget()
     engine = _Engine(problem, budget, tuple(seams))
+    alive = engine.alive_mask
+    live = alive.bit_count()
+    forced = tuple(sorted(problem.forced_edges))
     try:
         if problem.mode == Mode.FACTOR:
             if target is not None:
                 raise PackingError("target applies to MAX mode only")
-            wit = engine.factor()
+            wit = engine.search(alive, 0, forced)
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
         if target is not None:
-            wit = engine.target(target)
-            return _finish(
-                problem,
-                engine,
-                "SAT" if wit is not None else "UNSAT",
-                wit,
-                None if wit is None else len(wit),
-            )
-        res = engine.max_value()
-        if res is None:
-            return _finish(problem, engine, "UNSAT", None)
-        return _finish(problem, engine, "OPTIMUM", res[1], res[0])
+            wit = None
+            if 3 * target <= live:
+                wit = engine.search(alive, live - 3 * target, forced)
+            if wit is not None:
+                # keep every path on a forced edge, then fill up to ``target``
+                edges = problem.forced_edges
+                on_forced = [p for p in wit if set(LambdaPath.of(*p).edges) & edges]
+                others = [p for p in wit if p not in on_forced]
+                wit = on_forced + others[: max(0, target - len(on_forced))]
+            return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
+        # MAX: the least slack that succeeds gives the optimum
+        slack = sum(c.bit_count() % 3 for c in engine._components(alive))
+        while slack <= live:
+            wit = engine.search(alive, slack, forced)
+            if wit is not None:
+                return _finish(problem, engine, "OPTIMUM", wit)
+            slack += 3
+        return _finish(problem, engine, "UNSAT", None)
     except _BudgetExceeded:
         engine.stats.elapsed = time.monotonic() - engine.start
         value = None
@@ -619,18 +623,16 @@ def _finish(
     problem: PackingProblem,
     engine: _Engine,
     verdict: str,
-    triples: tuple[Triple, ...] | None,
-    value: int | None = None,
+    triples: Iterable[Triple] | None,
 ) -> PackingResult:
     engine.stats.elapsed = time.monotonic() - engine.start
-    paths = None
+    paths = value = None
     if triples is not None and verdict in ("SAT", "OPTIMUM"):
         paths = tuple(
             sorted((LambdaPath.of(*t) for t in triples), key=lambda p: p.vertices)
         )
         check_packing(problem, paths)
-        if value is None:
-            value = len(paths)
+        value = len(paths)
     return PackingResult(verdict, value, paths, engine.stats)
 
 
@@ -642,52 +644,25 @@ def enumerate_factors(
 
     Exhaustive enumeration; intended for graphs with at most ~24 live
     vertices (test support for the crossing-case and hub-bundle checks).
+    It is the slack-0 search, run without the component split and memo and
+    collecting each factor instead of stopping at the first.
     """
     if problem.mode != Mode.FACTOR:
         raise PackingError("enumerate_factors needs a FACTOR-mode problem")
     if len(problem.alive) > 24:
         raise PackingError("enumerate_factors is limited to 24 live vertices")
     engine = _Engine(problem, budget or Budget())
-    forced = tuple(sorted(problem.forced_edges))
-
-    def rec(free: int, fc: tuple[Edge, ...]) -> Iterator[tuple[Triple, ...]]:
-        if free == 0:
-            if not fc:
-                yield ()
-            return
-        engine._tick()
-        for u, v in fc:
-            if not ((free >> u) & 1 and (free >> v) & 1):
-                return
-        comp = engine._components(free)[0]
-        if bin(comp).count("1") % 3 != 0:
-            return
-        if fc:
-            u, v = fc[0]
-            if (comp >> u) & 1:
-                moves = engine._paths_through_edge(u, v, comp)
-            else:
-                moves = engine._paths_covering(
-                    (comp & -comp).bit_length() - 1, comp
-                )
-        else:
-            moves = engine._paths_covering((comp & -comp).bit_length() - 1, comp)
-        for path in moves:
-            pmask = (1 << path[0]) | (1 << path[1]) | (1 << path[2])
-            pedges = {norm_edge(path[0], path[1]), norm_edge(path[1], path[2])}
-            rest = tuple(e for e in fc if e not in pedges)
-            for tail in rec(free & ~pmask, rest):
-                yield (path,) + tail
-
+    engine.factors = []
     try:
-        for triples in rec(engine.alive_mask, forced):
-            paths = tuple(
-                sorted((LambdaPath.of(*t) for t in triples), key=lambda p: p.vertices)
-            )
-            check_packing(problem, paths)
-            yield paths
+        engine.search(engine.alive_mask, 0, tuple(sorted(problem.forced_edges)))
     except _BudgetExceeded:
         raise PackingError("factor enumeration exceeded its budget") from None
+    for triples in engine.factors:
+        paths = tuple(
+            sorted((LambdaPath.of(*t) for t in triples), key=lambda p: p.vertices)
+        )
+        check_packing(problem, paths)
+        yield paths
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graph import Edge, Graph, GraphError, norm_edge
 
 Rotation = tuple[tuple[int, ...], ...]
@@ -31,16 +29,23 @@ class PlanarityReport:
     obstruction: frozenset[Edge] | None
 
 
-def _to_nx(g: Graph, edges=None) -> nx.Graph:
+def _check_planarity(g: Graph, edges=None, counterexample: bool = False):
+    """networkx's planarity test on ``g`` or on its subgraph ``edges``.
+
+    networkx is imported here, on first use, because it takes most of the
+    package's import time and only planarity needs it.
+    """
+    import networkx as nx
+
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(sorted(g.edges if edges is None else edges))
-    return h
+    return nx.check_planarity(h, counterexample=counterexample)
 
 
 def is_planar(g: Graph) -> PlanarityReport:
     """Planarity with witness: rotation system if planar, else a Kuratowski subdivision."""
-    ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+    ok, cert = _check_planarity(g, counterexample=True)
     if ok:
         data = cert.get_data()
         rotation = tuple(tuple(data.get(v, [])) for v in range(g.n))
@@ -60,7 +65,7 @@ def _minimize_nonplanar(g: Graph, edges: frozenset[Edge]) -> frozenset[Edge]:
     current = set(edges)
     for e in sorted(edges):
         trial = current - {e}
-        if not nx.check_planarity(_to_nx(g, trial))[0]:
+        if not _check_planarity(g, trial)[0]:
             current = trial
     return frozenset(current)
 

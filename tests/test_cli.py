@@ -73,6 +73,17 @@ def test_solve_factor_with_flags(capsys):
     assert json.loads(out)["verdict"] == "UNSAT"
 
 
+def test_solve_target_with_forced_edge(capsys):
+    args = ("solve", "--expr", "ebridge(Q@e1, Q@e1)", "--max", "--force-edge", "z1-z2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    best = json.loads(out)
+    assert best["verdict"] == "OPTIMUM"
+    code, out, _ = run_cli(capsys, *args, "--target", "5")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == ("SAT" if best["value"] >= 5 else "UNSAT")
+
+
 def test_solve_precondition_exit(capsys):
     # FACTOR on 4 vertices: residue violation
     code, _, err = run_cli(capsys, "solve", "--expr", "atlas(K4)", "--factor")

@@ -65,6 +65,81 @@ def test_random_agreement_with_constraints():
             ))
 
 
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph.from_edges(n, edges)
+
+
+def test_every_mode_agrees_with_oracle():
+    """FACTOR, MAX and each target=k agree with the oracle under constraints.
+
+    Graphs are disjoint unions of up to three subcubic pieces, so residual
+    components of every size meet at the root as well as deeper down.
+    target=k is SAT exactly when the oracle's maximum is at least k, and its
+    witness has exactly k paths, or, when k is smaller, just the paths that
+    cover forced edges.
+    """
+    rng = random.Random(4151)
+    for trial in range(300):
+        sizes = [rng.randint(1, 13)]
+        while len(sizes) < 3 and sum(sizes) < 11 and rng.random() < 0.6:
+            sizes.append(rng.randint(1, 13 - sum(sizes)))
+        g = _disjoint_union([sample_subcubic(m, seed=trial * 7 + i) for i, m in enumerate(sizes)])
+        n = g.n
+        edges = sorted(g.edges)
+        deleted_v = frozenset(rng.sample(range(n), k=rng.choice([0, 0, 1])))
+        usable = [e for e in edges if not set(e) & deleted_v]
+        rng.shuffle(usable)
+        k_del, k_forb, k_forced = rng.choice([0, 1]), rng.choice([0, 1]), rng.choice([0, 1, 2])
+        deleted_e = frozenset(usable[:k_del])
+        forbidden = frozenset(usable[k_del : k_del + k_forb])
+        forced = frozenset(usable[k_del + k_forb : k_del + k_forb + k_forced])
+        constraints = dict(
+            deleted_vertices=deleted_v,
+            deleted_edges=deleted_e,
+            forbidden_edges=forbidden,
+            forced_edges=forced,
+        )
+        problem = PackingProblem(g, Mode.MAX, **constraints)
+        best = oracle_solve(problem)
+        exact = solve(problem)
+        assert (exact.verdict, exact.value) == (best.verdict, best.value), problem
+        live = n - len(deleted_v)
+        if live % 3 == 0:
+            _agree(PackingProblem(g, Mode.FACTOR, **constraints))
+        for k in range(live // 3 + 2):
+            res = solve(problem, target=k)
+            reachable = best.verdict == "OPTIMUM" and best.value >= k
+            assert res.verdict == ("SAT" if reachable else "UNSAT"), (problem, k)
+            if res.verdict == "SAT":
+                on_forced = [p for p in res.paths if set(p.edges) & forced]
+                assert len(res.paths) == res.value == max(k, len(on_forced))
+
+
+def test_disjoint_union_max_is_sum_of_parts():
+    """Beyond the oracle's size limit: MAX of a disjoint union is the sum of
+    the oracle's MAX over its parts, and target=k is SAT up to that sum."""
+    rng = random.Random(712)
+    for trial in range(40):
+        parts = [
+            sample_subcubic(rng.randint(2, 12), seed=9000 + 5 * trial + i)
+            for i in range(rng.randint(2, 4))
+        ]
+        expected = sum(oracle_solve(PackingProblem(p, Mode.MAX)).value for p in parts)
+        g = _disjoint_union(parts)
+        problem = PackingProblem(g, Mode.MAX)
+        res = solve(problem)
+        assert (res.verdict, res.value) == ("OPTIMUM", expected), parts
+        for k in (expected - 1, expected, expected + 1):
+            res = solve(problem, target=k)
+            assert res.verdict == ("SAT" if k <= expected else "UNSAT"), (parts, k)
+            if res.verdict == "SAT":
+                assert len(res.paths) == max(k, 0)
+
+
 def test_random_cubic_agreement():
     for trial in range(25):
         n = [4, 6, 8, 10, 12][trial % 5]

@@ -152,6 +152,21 @@ def test_target_mode():
     assert solve(PackingProblem(q, Mode.MAX), target=3).verdict == "UNSAT"
 
 
+def test_long_path_has_no_depth_limit():
+    """One frame per placed path would exceed Python's recursion limit here."""
+    n = 3000
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    unique = tuple(LambdaPath(i, i + 1, i + 2) for i in range(0, n, 3))
+    results = [
+        solve(PackingProblem(path, Mode.FACTOR)),
+        solve(PackingProblem(path, Mode.MAX)),
+        solve(PackingProblem(path, Mode.MAX), target=n // 3),
+    ]
+    assert [r.verdict for r in results] == ["SAT", "OPTIMUM", "SAT"]
+    for r in results:
+        assert r.paths == unique and r.value == n // 3
+
+
 def test_deterministic_witness():
     pipe = build_pipeline()
     h = pipe.graph("H")

@@ -1,7 +1,13 @@
 """Planarity verdicts and both witness kinds, re-verified from scratch."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lambdapack
 from lambdapack import Graph, atlas, is_bipartite
 from lambdapack.graph import GraphError
 from lambdapack.pipeline import build_pipeline
@@ -108,3 +114,16 @@ def test_kuratowski_verifier_rejects_wrong_sets():
     q = atlas("Q")
     with pytest.raises(GraphError):
         verify_kuratowski(q, frozenset(list(q.edges)[:4]))
+
+
+def test_networkx_is_imported_only_when_needed():
+    src = str(Path(lambdapack.__file__).resolve().parent.parent)
+    code = (
+        "import sys, lambdapack\n"
+        "assert 'networkx' not in sys.modules\n"
+        "assert lambdapack.is_planar(lambdapack.atlas('Q')).planar\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
