@@ -258,7 +258,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "nodes": result.stats.nodes,
         "prunes": dict(sorted(result.stats.prunes.items())),
     }
-    print(f"explored {result.stats.nodes} nodes", file=sys.stderr)
+    budget_name = {"nodes": "node", "seconds": "time"}.get(result.stats.exhausted)
+    note = f" ({budget_name} budget exhausted)" if budget_name else ""
+    print(f"explored {result.stats.nodes} nodes{note}", file=sys.stderr)
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_BUDGET if result.verdict == "INDETERMINATE" else EXIT_OK
 

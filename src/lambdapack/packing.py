@@ -19,20 +19,25 @@ components of (size mod 3), and raises the slack by 3 until the search
 succeeds, so the first success is optimal; enumeration is slack 0,
 collecting every solution.
 
-The search is deterministic: branch on the lowest-id uncovered vertex
-(paths through unsatisfied forced edges first), candidate paths in
-ascending canonical order, then leaving the vertex uncovered while slack
-remains, so verdicts and witnesses are reproducible.  State is kept in
-bitmasks and the frames run on an explicit stack, so input size never
-meets Python's recursion limit.  Independent residual components are
-solved separately: the smaller ones are deepened to their least
-deficiency, the largest gets the rest of the slack, and a failure memo
-keyed on (component, forced edges) keeps the largest slack known to fail.
-The main pruning rule is residue counting: a component of size m leaves
-at least m mod 3 vertices uncovered.  Optional seam annotations (one side
-of a small matching edge cut, as produced by the composition operators)
-add a parity check keyed to the cut at slack 0, tallied separately in the
-statistics; with uncovered vertices allowed the check would be unsound.
+The search is deterministic.  Paths through an unsatisfied forced edge
+come first; otherwise it branches on a vertex with at most one candidate
+path if there is one (residual degree 0, or residual degree 1 next to a
+vertex of residual degree 2; lowest id first), else on the lowest-id
+uncovered vertex.  Candidate paths go in ascending canonical order, then
+the vertex is left uncovered while slack remains, so verdicts and
+witnesses are reproducible.  The masks of the vertices of residual
+degree 0 and 1 travel down the frames and are updated only around the
+removed vertices.  State is kept in bitmasks and the frames run on
+an explicit stack, so input size never meets Python's recursion limit.
+Independent residual components are solved separately: the smaller ones
+are deepened to their least deficiency, the largest gets the rest of the
+slack, and a failure memo keyed on (component, forced edges) keeps the
+largest slack known to fail.  The main pruning rule is residue counting:
+a component of size m leaves at least m mod 3 vertices uncovered.
+Optional seam annotations (one side of a small matching edge cut, as
+produced by the composition operators) add a parity check keyed to the
+cut at slack 0, tallied separately in the statistics; with uncovered
+vertices allowed the check would be unsound.
 
 Budgets (node count and wall time) turn an unfinished search into an
 explicit INDETERMINATE result, never a silent wrong answer.  Every SAT or
@@ -149,6 +154,8 @@ class SolveStats:
     nodes: int = 0
     elapsed: float = 0.0
     prunes: Counter = field(default_factory=Counter)
+    # the budget that ran out: "nodes", "seconds" or None
+    exhausted: str | None = None
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,11 @@ _MEMO_CAP = 1_000_000
 # frame), receives the child's witness (a list of triples) or None, and
 # returns its own.
 _Frame = Generator
+# Masks of the free vertices with residual degree 0 and 1.  The unit rule
+# counts the degree of a degree-1 vertex's neighbour directly: a degree-2
+# mask would be dense, and one more n-bit int per frame doubles the memory
+# of a deep search (a path on 3000 vertices keeps 1,000 frames).
+_Degrees = tuple[int, int]
 
 
 class _Engine:
@@ -330,8 +342,10 @@ class _Engine:
     def _tick(self) -> None:
         self.stats.nodes += 1
         if self.stats.nodes >= self.budget.max_nodes:
+            self.stats.exhausted = "nodes"
             raise _BudgetExceeded()
         if self.stats.nodes % 2048 == 0 and time.monotonic() > self.deadline:
+            self.stats.exhausted = "seconds"
             raise _BudgetExceeded()
 
     def _components(self, free: int) -> list[int]:
@@ -353,6 +367,22 @@ class _Engine:
             comps.append(comp)
             rem &= ~comp
         return comps
+
+    def _degrees(self, free: int, deg: _Degrees, near: int) -> _Degrees:
+        """``deg`` restricted to ``free``, with the residual degrees of the
+        vertices in ``near`` (a subset of ``free``) recounted."""
+        keep = free & ~near
+        d0, d1 = deg[0] & keep, deg[1] & keep
+        adj = self.adj
+        while near:
+            b = near & -near
+            near ^= b
+            d = (adj[b.bit_length() - 1] & free).bit_count()
+            if d == 0:
+                d0 |= b
+            elif d == 1:
+                d1 |= b
+        return d0, d1
 
     def _seam_check(self, free: int) -> bool:
         """False when some fully decided seam has unbalanced residue.
@@ -385,7 +415,7 @@ class _Engine:
             for w in _bits(adj[c] & free):
                 if w != v:
                     out.append((v, c, w) if v < w else (w, c, v))
-        return sorted(set(out))
+        return sorted(out)
 
     def _paths_through_edge(self, u: int, v: int, free: int) -> list[Triple]:
         adj = self.adj
@@ -396,7 +426,7 @@ class _Engine:
         for y in _bits(adj[v] & free):
             if y != u:
                 out.append((u, v, y) if u < y else (y, v, u))
-        return sorted(set(out))
+        return sorted(out)
 
     # -- the deficiency-bounded search ------------------------------------
 
@@ -413,7 +443,8 @@ class _Engine:
             if not ((free >> u) & 1 and (free >> v) & 1):
                 self.stats.prunes["forced_dead"] += 1
                 return None
-        stack = [self._split(free, slack, forced)]
+        deg = self._degrees(free, (0, 0), free)
+        stack = [self._split(free, slack, forced, deg)]
         chosen = self.chosen = []
         result: list[Triple] | None = None
         while True:
@@ -430,7 +461,9 @@ class _Engine:
                 chosen.append(path)
                 result = None
 
-    def _split(self, free: int, slack: int, forced: tuple[Edge, ...]) -> _Frame:
+    def _split(
+        self, free: int, slack: int, forced: tuple[Edge, ...], deg: _Degrees
+    ) -> _Frame:
         """Any free set: solve its components one by one, sharing the slack.
 
         Each component leaves at least its size mod 3 uncovered.  The smaller
@@ -449,7 +482,7 @@ class _Engine:
             self.stats.prunes["residue"] += 1
             return None
         if len(comps) == 1 or self.factors is not None:
-            return (yield None, self._comp(free, slack, forced))
+            return (yield None, self._comp(free, slack, forced, deg))
         largest = max(comps, key=int.bit_count)
         comps.remove(largest)
         comps.append(largest)
@@ -472,7 +505,9 @@ class _Engine:
             while True:
                 if s > room:
                     return None
-                sub = yield None, self._comp(comp, s, key[1])
+                sub = yield None, self._comp(
+                    comp, s, key[1], (deg[0] & comp, deg[1] & comp)
+                )
                 if sub is not None:
                     break
                 if key in memo or len(memo) < _MEMO_CAP:
@@ -482,10 +517,30 @@ class _Engine:
             out += sub
         return out
 
-    def _comp(self, comp: int, slack: int, forced: tuple[Edge, ...]) -> _Frame:
-        """One connected free set: cover its first forced edge, else its
-        lowest vertex by each candidate path in order, or leave that vertex
-        uncovered while slack remains."""
+    def _branch_vertex(self, comp: int, deg: _Degrees) -> int:
+        """The lowest-id vertex with no candidate path (residual degree 0),
+        else the lowest-id one with a single candidate (residual degree 1,
+        its neighbour of residual degree 2), else the lowest-id vertex."""
+        adj = self.adj
+        pick = deg[0]
+        if not pick:
+            ends = deg[1]
+            while ends:
+                b = ends & -ends
+                c = adj[b.bit_length() - 1] & comp
+                if (adj[c.bit_length() - 1] & comp).bit_count() == 2:
+                    pick = b
+                    break
+                ends ^= b
+        pick = pick or comp
+        return (pick & -pick).bit_length() - 1
+
+    def _comp(
+        self, comp: int, slack: int, forced: tuple[Edge, ...], deg: _Degrees
+    ) -> _Frame:
+        """One connected free set: cover its first forced edge, else the
+        vertex ``_branch_vertex`` picks by each candidate path in order, or
+        leave that vertex uncovered while slack remains."""
         self._tick()
         size = comp.bit_count()
         slack -= (slack - size) % 3
@@ -495,7 +550,7 @@ class _Engine:
         if forced:
             moves = self._paths_through_edge(*forced[0], comp)
         else:
-            v = (comp & -comp).bit_length() - 1
+            v = self._branch_vertex(comp, deg)
             moves = self._paths_covering(v, comp)
         if not moves and (forced or not slack):
             self.stats.prunes["stranded"] += 1
@@ -513,7 +568,9 @@ class _Engine:
                 ):
                     self.stats.prunes["forced_dead"] += 1
                     continue
-            child = self._frame(rest, slack, rest_forced, adj[a] | adj[b] | adj[c])
+            child = self._frame(
+                rest, slack, rest_forced, adj[a] | adj[b] | adj[c], deg
+            )
             if child is None:
                 continue
             sub = yield path, child
@@ -523,25 +580,31 @@ class _Engine:
         if forced or not slack:
             return None
         rest = comp & ~(1 << v)
-        child = self._frame(rest, slack - 1, (), adj[v])
+        child = self._frame(rest, slack - 1, (), adj[v], deg)
         return None if child is None else (yield None, child)
 
     def _frame(
-        self, rest: int, slack: int, forced: tuple[Edge, ...], near: int
+        self,
+        rest: int,
+        slack: int,
+        forced: tuple[Edge, ...],
+        near: int,
+        deg: _Degrees,
     ) -> _Frame | None:
         """The frame for what is left of a connected set after a removal,
         or None when the seam parity check already rules it out.
 
-        When the removed vertices keep at most one free neighbour (``near``
-        is their neighbourhood) the rest is still connected, so the
-        component split is skipped.
+        ``near`` is the neighbourhood of the removed vertices: only their
+        free neighbours change residual degree.  When at most one is left,
+        the rest is still connected, so the component split is skipped.
         """
         if not slack and self.seams and not self._seam_check(rest):
             return None
         near &= rest
+        deg = self._degrees(rest, deg, near)
         if rest and not near & (near - 1):
-            return self._comp(rest, slack, forced)
-        return self._split(rest, slack, forced)
+            return self._comp(rest, slack, forced, deg)
+        return self._split(rest, slack, forced, deg)
 
     # -- greedy fallback (lower bound when a MAX budget runs out) -----------
 
@@ -574,7 +637,7 @@ def solve(
 ) -> PackingResult:
     """Run the exact search for a problem; see the module docstring.
 
-    ``target`` (MAX mode only) asks for any packing of size >= target and
+    ``target`` (MAX mode only, >= 0) asks for any packing of size >= target and
     returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
     ``target`` paths, unless the paths covering forced edges outnumber it.
     """
@@ -590,6 +653,8 @@ def solve(
             wit = engine.search(alive, 0, forced)
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
         if target is not None:
+            if target < 0:
+                raise PackingError("target must be >= 0")
             wit = None
             if 3 * target <= live:
                 wit = engine.search(alive, live - 3 * target, forced)

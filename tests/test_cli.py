@@ -90,6 +90,24 @@ def test_solve_precondition_exit(capsys):
     assert code == EXIT_PRECONDITION
 
 
+def test_solve_negative_target_is_precondition(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--target", "-1"
+    )
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "target must be >= 0" in err
+
+
+def test_solve_stderr_names_exhausted_budget(capsys):
+    args = ("solve", "--expr", "ebridge(Q@e1, Q@e1)", "--max")
+    _, _, err = run_cli(capsys, *args)
+    assert "budget exhausted" not in err
+    code, _, err = run_cli(capsys, *args, "--budget-nodes", "1")
+    assert code == EXIT_BUDGET
+    assert "explored 1 nodes (node budget exhausted)" in err
+
+
 def test_missing_script_is_parse_error(capsys):
     code, out, _ = run_cli(capsys, "solve", "--script", "no-such-file", "--max")
     assert code == EXIT_PARSE

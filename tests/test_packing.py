@@ -152,6 +152,24 @@ def test_target_mode():
     assert solve(PackingProblem(q, Mode.MAX), target=3).verdict == "UNSAT"
 
 
+def test_negative_target_is_rejected():
+    k = build_pipeline().graph("K")
+    with pytest.raises(PackingError, match="target must be >= 0"):
+        solve(PackingProblem(k, Mode.MAX), target=-1)
+    assert solve(PackingProblem(k, Mode.MAX), target=0).paths == ()
+
+
+def test_stats_name_the_exhausted_budget():
+    n = build_pipeline().graph("N")
+    assert solve(PackingProblem(n, Mode.MAX)).stats.exhausted is None
+    r = solve(PackingProblem(n, Mode.MAX), budget=Budget(max_nodes=50))
+    assert (r.verdict, r.stats.exhausted) == ("INDETERMINATE", "nodes")
+    # the clock is read every 2048 nodes, and this search needs more
+    big = PackingProblem(sample_cubic(600, 7), Mode.FACTOR)
+    r = solve(big, budget=Budget(max_seconds=0.0))
+    assert (r.verdict, r.stats.exhausted) == ("INDETERMINATE", "seconds")
+
+
 def test_long_path_has_no_depth_limit():
     """One frame per placed path would exceed Python's recursion limit here."""
     n = 3000
