@@ -12,8 +12,11 @@ Facts arise two ways:
 * BASE -- an exhaustive solver run returned UNSAT (the step records the
   search statistics);
 * R1..R6 -- a composition rule transported facts about the operands to a
-  fact about the composite.  Each rule checks residue side conditions
-  (vertex counts mod 6), cubicity, and anchor bookkeeping:
+  fact about the composite.  :data:`RULES` is the single source of the
+  rules: one row each gives the operator, the operand residues (vertex
+  counts mod 6), the premise patterns, and how the conclusion and the
+  recorded side conditions follow from the anchors.  Every rule also
+  requires cubic operands.  In summary:
 
   ====  =========  ==========================  =============================
   rule  operator   side conditions              premises -> conclusion
@@ -26,7 +29,7 @@ Facts arise two ways:
                                                 (a,a1) -> G - b2 has no
                                                 factor avoiding (a3,b3)
   R4    esub       v(A)=0, v(B)=4 mod 6,        A-fact: contains a;
-                   x not incident to b          B-fact: G-x avoiding b
+                   x not incident to b          B-fact: B-x avoiding b
                                                 -> G - x has no factor
   R5    esub       v(A)=2, v(B)=4 mod 6         B - b1 has no factor
                                                 -> no factor of G avoids
@@ -37,19 +40,22 @@ Facts arise two ways:
   ====  =========  ==========================  =============================
 
 ``replay_pipeline`` evaluates a construction script, derives one fact per
-bound stage whose operator and residues match a rule, cross-checks every
-fact whose residual search is small enough by a direct BASE run, and packs
-everything into a :class:`Certificate`.  ``check_certificate`` re-validates
-a certificate offline: hashes, premise linkage, side conditions, and the
-construction bookkeeping are all recomputed (rule steps are re-derived by
-rebuilding the composite from the stored operand graphs); BASE evidence is
-accepted as recorded unless ``strict=True`` re-runs the searches.
+bound stage whose operator and residues match a rule (``apply_rule``),
+cross-checks every fact whose residual search is small enough by a direct
+BASE run, and packs everything into a :class:`Certificate`.
+``check_certificate`` re-validates a certificate offline.  It recomputes
+hashes and premise linkage, and re-derives each rule step whole from its
+row: it rebuilds the composite from the stored operand graphs, derives the
+expected premises, conclusion, side conditions and (empty) evidence, and
+rejects the step on any difference.  BASE evidence is accepted as recorded
+unless ``strict=True`` re-runs the searches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import constructions as cons
@@ -64,13 +70,17 @@ KIND_AVOIDING = "no_factor_avoiding"
 KIND_MINUS_VERTEX = "no_factor_minus_vertex"
 KIND_MINUS_VERTEX_AVOIDING = "no_factor_minus_vertex_avoiding"
 
-FACT_KINDS = (
-    KIND_NO_FACTOR,
-    KIND_CONTAINING,
-    KIND_AVOIDING,
-    KIND_MINUS_VERTEX,
-    KIND_MINUS_VERTEX_AVOIDING,
-)
+#: what each kind means as a FACTOR search: (deletes a vertex, the
+#: PackingProblem field that forces or forbids the fact's edge, if any)
+_KINDS: dict[str, tuple[bool, str | None]] = {
+    KIND_NO_FACTOR: (False, None),
+    KIND_CONTAINING: (False, "forced_edges"),
+    KIND_AVOIDING: (False, "forbidden_edges"),
+    KIND_MINUS_VERTEX: (True, None),
+    KIND_MINUS_VERTEX_AVOIDING: (True, "forbidden_edges"),
+}
+
+FACT_KINDS = tuple(_KINDS)
 
 #: corrected readings applied by the rule engine, recorded in certificates
 NOTES = (
@@ -115,18 +125,15 @@ class Fact:
     edge_labels: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FACT_KINDS:
+        if self.kind not in _KINDS:
             raise CertificateError(f"unknown fact kind {self.kind!r}")
-        needs_vertex = self.kind in (KIND_MINUS_VERTEX, KIND_MINUS_VERTEX_AVOIDING)
-        needs_edge = self.kind in (
-            KIND_CONTAINING,
-            KIND_AVOIDING,
-            KIND_MINUS_VERTEX_AVOIDING,
-        )
-        if needs_vertex != (self.vertex is not None):
+        deletes_vertex, edge_field = _KINDS[self.kind]
+        if deletes_vertex != (self.vertex is not None):
             raise CertificateError(f"fact kind {self.kind} vertex parameter mismatch")
-        if needs_edge != (self.edge is not None):
+        if (edge_field is not None) != (self.edge is not None):
             raise CertificateError(f"fact kind {self.kind} edge parameter mismatch")
+        if self.edge is not None and self.vertex in self.edge:
+            raise CertificateError("fact edge must not touch the deleted vertex")
 
     @property
     def residue(self) -> int:
@@ -146,10 +153,9 @@ class Fact:
         kw: dict = {}
         if self.vertex is not None:
             kw["deleted_vertices"] = frozenset({self.vertex})
-        if self.kind == KIND_CONTAINING:
-            kw["forced_edges"] = frozenset({self.edge})
-        elif self.kind in (KIND_AVOIDING, KIND_MINUS_VERTEX_AVOIDING):
-            kw["forbidden_edges"] = frozenset({self.edge})
+        edge_field = _KINDS[self.kind][1]
+        if edge_field is not None:
+            kw[edge_field] = frozenset({self.edge})
         return PackingProblem(g, Mode.FACTOR, **kw)
 
 
@@ -162,8 +168,6 @@ def make_fact(
             raise CertificateError(f"fact edge {edge} not in graph")
     if vertex is not None:
         g.check_vertex(vertex)
-        if edge is not None and vertex in edge:
-            raise CertificateError("fact edge must not touch the deleted vertex")
     return Fact(
         kind,
         graph_hash(g),
@@ -206,42 +210,191 @@ class Certificate:
 
 
 # ----------------------------------------------------------------------
-# Rule applications
+# The rule table
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class _FactStore:
+    """Facts by key, each with the id of the first step that concluded it."""
+
     by_key: dict[tuple, tuple[Fact, str]] = field(default_factory=dict)
 
     def add(self, fact: Fact, step_id: str) -> None:
         self.by_key.setdefault(fact.key, (fact, step_id))
 
-    def get(self, kind: str, ghash: str, vertex=None, edge=None):
+    def find(self, kind: str, ghash: str, vertex: int | None, edge: Edge | None):
+        """The (fact, step id) entry with this key, or None.
+
+        A vertex-deleting kind asked for with ``vertex=None`` matches the
+        first stored fact of that kind, graph and edge, whatever its vertex.
+        """
+        if vertex is None and _KINDS[kind][0]:
+            for (k, h, _v, e), entry in self.by_key.items():
+                if (k, h, e) == (kind, ghash, edge):
+                    return entry
+            return None
         return self.by_key.get((kind, ghash, vertex, edge))
 
-    def find_minus_vertex_avoiding(self, ghash: str, edge: Edge):
-        for (kind, h, _v, e), entry in self.by_key.items():
-            if kind == KIND_MINUS_VERTEX_AVOIDING and h == ghash and e == edge:
-                return entry
-        return None
+
+@dataclass(frozen=True)
+class Premise:
+    """A fact a rule needs about one operand (0 = A, 1 = B).
+
+    ``vertex`` and ``edge`` compute the fact's parameters from the anchors.
+    A vertex-deleting kind without ``vertex`` leaves the vertex free.
+    """
+
+    kind: str
+    operand: int
+    vertex: Callable[[tuple], int] | None = None
+    edge: Callable[[tuple], Edge] | None = None
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CertificateError(message)
+@dataclass(frozen=True)
+class Rule:
+    """One inference rule, read both to derive and to check a step.
+
+    ``conclusion`` and ``extra`` take the anchors, the construction detail
+    and the premise facts.  ``conclusion`` gives the (kind, vertex, edge)
+    concluded about the composite; ``extra`` gives the side conditions
+    recorded besides the operator, the anchors and the residues.
+    """
+
+    name: str
+    op: str
+    residues: tuple[int, ...]
+    premises: tuple[Premise, ...]
+    conclusion: Callable[[tuple, object, tuple], tuple]
+    extra: Callable[[tuple, object, tuple], dict] = lambda a, d, p: {}
 
 
-def _vertex_anchor_payload(a: cons.PortedVertex) -> dict:
-    return {
-        "graph": graph_hash(a.graph),
-        "vertex": a.v,
-        "ports": list(a.ports),
+def _marked(a: cons.PortedVertex) -> Edge:
+    """The edge from a ported vertex to its first port."""
+    return norm_edge(a.v, a.ports[0])
+
+
+RULES = (
+    Rule(
+        "R1", "ebridge", (2, 2), (),
+        lambda a, d, p: (KIND_CONTAINING, None, d.middle_edge),
+        lambda a, d, p: {"middle_edge": list(d.middle_edge)},
+    ),
+    Rule(
+        "R2", "ymerge", (0,),
+        (Premise(KIND_CONTAINING, 0, edge=lambda a: _marked(a[0])),),
+        lambda a, d, p: (KIND_NO_FACTOR, None, None),
+        lambda a, d, p: {"marked_edge": list(_marked(a[0]))},
+    ),
+    Rule(
+        "R3", "vsub", (0, 0),
+        (Premise(KIND_CONTAINING, 0, edge=lambda a: _marked(a[0])),),
+        lambda a, d, p: (
+            KIND_MINUS_VERTEX_AVOIDING,
+            d.map_b[a[1].ports[1]],
+            norm_edge(d.map_a[a[0].ports[2]], d.map_b[a[1].ports[2]]),
+        ),
+        lambda a, d, p: {"marked_edge": list(_marked(a[0]))},
+    ),
+    # x is the free vertex of the B-premise; a fact's deleted vertex never
+    # touches its edge, so x is not incident to b
+    Rule(
+        "R4", "esub", (0, 4),
+        (
+            Premise(KIND_CONTAINING, 0, edge=lambda a: a[0].edge),
+            Premise(KIND_MINUS_VERTEX_AVOIDING, 1, edge=lambda a: a[1].edge),
+        ),
+        lambda a, d, p: (KIND_MINUS_VERTEX, d.map_b[p[1].vertex], None),
+        lambda a, d, p: {"x": p[1].vertex},
+    ),
+    Rule(
+        "R5", "esub", (2, 4),
+        (Premise(KIND_MINUS_VERTEX, 1, vertex=lambda a: a[1].e1),),
+        lambda a, d, p: (
+            KIND_AVOIDING,
+            None,
+            norm_edge(d.map_a[a[0].e2], d.map_b[a[1].e2]),
+        ),
+    ),
+    Rule(
+        "R6", "esub", (0, 0),
+        (
+            Premise(KIND_CONTAINING, 0, edge=lambda a: a[0].edge),
+            Premise(KIND_AVOIDING, 1, edge=lambda a: a[1].edge),
+        ),
+        lambda a, d, p: (KIND_NO_FACTOR, None, None),
+    ),
+)
+
+_RULES_BY_NAME = {rule.name: rule for rule in RULES}
+
+#: construction operator -> (anchor type, detail builder)
+_OPS = {
+    "ebridge": (cons.PortedEdge, cons.ebridge_detail),
+    "esub": (cons.PortedEdge, cons.esub_detail),
+    "vsub": (cons.PortedVertex, cons.vsub_detail),
+    "ymerge": (cons.PortedVertex, cons.ymerge_detail),
+}
+
+
+def _anchor_payload(a: cons.PortedVertex | cons.PortedEdge, ghash: str) -> dict:
+    if isinstance(a, cons.PortedVertex):
+        return {"graph": ghash, "vertex": a.v, "ports": list(a.ports)}
+    return {"graph": ghash, "edge": [a.e1, a.e2]}
+
+
+def _anchor_from_payload(cert: Certificate, op: str, payload: dict):
+    g = cert.graphs.get(payload["graph"])
+    if g is None:
+        raise CertificateError("operand graph missing from table")
+    if _OPS[op][0] is cons.PortedVertex:
+        return cons.PortedVertex(g, payload["vertex"], tuple(payload["ports"]))
+    return cons.PortedEdge(g, *payload["edge"])
+
+
+def _derive(
+    rule: Rule, anchors: tuple, detail, store: _FactStore, step_id: str
+) -> CertStep:
+    """The step ``rule`` yields on a construction, premises found in ``store``.
+
+    Raises CertificateError when a residue, cubicity or premise fails.
+    """
+    residues = tuple(x.graph.n % 6 for x in anchors)
+    if residues != rule.residues:
+        raise CertificateError(
+            f"{rule.name} needs operand residues {rule.residues} mod 6, "
+            f"got {residues}"
+        )
+    if not all(is_cubic(x.graph) for x in anchors):
+        raise CertificateError("rule requires cubic operands")
+    hashes = [graph_hash(x.graph) for x in anchors]
+    found = []
+    for pat in rule.premises:
+        vertex = pat.vertex(anchors) if pat.vertex else None
+        edge = pat.edge(anchors) if pat.edge else None
+        entry = store.find(pat.kind, hashes[pat.operand], vertex, edge)
+        if entry is None:
+            raise CertificateError(
+                f"{rule.name} premise missing: {pat.kind} on operand "
+                f"{'AB'[pat.operand]} (vertex {vertex}, edge {edge})"
+            )
+        found.append(entry)
+    facts = tuple(fact for fact, _ in found)
+    kind, vertex, edge = rule.conclusion(anchors, detail, facts)
+    side = {
+        "op": rule.op,
+        **{key: _anchor_payload(x, h) for key, x, h in zip("ab", anchors, hashes)},
+        "residues": list(rule.residues),
+        **rule.extra(anchors, detail, facts),
     }
-
-
-def _edge_anchor_payload(a: cons.PortedEdge) -> dict:
-    return {"graph": graph_hash(a.graph), "edge": [a.e1, a.e2]}
+    return CertStep(
+        step_id,
+        rule.name,
+        tuple(sid for _, sid in found),
+        make_fact(detail.graph, kind, vertex, edge),
+        side,
+        {},
+    )
 
 
 def apply_rule(
@@ -253,167 +406,11 @@ def apply_rule(
     Raises CertificateError when a rule matches but its premises are
     missing or a side condition fails.
     """
-    if record.op is None or record.detail is None:
-        return None
-    if record.op == "ebridge":
-        return _apply_r1(record, step_id)
-    if record.op == "ymerge":
-        return _apply_r2(record, store, step_id)
-    if record.op == "vsub":
-        return _apply_r3(record, store, step_id)
-    if record.op == "esub":
-        a, b = record.anchors
-        ra, rb = a.graph.n % 6, b.graph.n % 6
-        if (ra, rb) == (0, 4):
-            return _apply_r4(record, store, step_id)
-        if (ra, rb) == (2, 4):
-            return _apply_r5(record, store, step_id)
-        if (ra, rb) == (0, 0):
-            return _apply_r6(record, store, step_id)
-        return None
+    residues = tuple(a.graph.n % 6 for a in record.anchors)
+    for rule in RULES:
+        if (rule.op, rule.residues) == (record.op, residues):
+            return _derive(rule, record.anchors, record.detail, store, step_id)
     return None
-
-
-def _cubic_sides(*graphs: Graph) -> None:
-    for g in graphs:
-        _require(is_cubic(g), "rule requires cubic operands")
-
-
-def _apply_r1(record: BuildRecord, step_id: str) -> CertStep | None:
-    a, b = record.anchors
-    detail = record.detail
-    if a.graph.n % 6 != 2 or b.graph.n % 6 != 2:
-        return None
-    _cubic_sides(a.graph, b.graph)
-    fact = make_fact(record.graph, KIND_CONTAINING, edge=detail.middle_edge)
-    side = {
-        "op": "ebridge",
-        "a": _edge_anchor_payload(a),
-        "b": _edge_anchor_payload(b),
-        "residues": [a.graph.n % 6, b.graph.n % 6],
-        "middle_edge": list(detail.middle_edge),
-    }
-    return CertStep(step_id, "R1", (), fact, side, {})
-
-
-def _apply_r2(record: BuildRecord, store: _FactStore, step_id: str) -> CertStep | None:
-    (a,) = record.anchors
-    if a.graph.n % 6 != 0:
-        return None
-    _cubic_sides(a.graph)
-    marked = norm_edge(a.v, a.ports[0])
-    premise = store.get(KIND_CONTAINING, graph_hash(a.graph), edge=marked)
-    _require(
-        premise is not None,
-        f"R2 premise missing: no-factor-containing {marked} on the merged graph",
-    )
-    fact = make_fact(record.graph, KIND_NO_FACTOR)
-    side = {
-        "op": "ymerge",
-        "a": _vertex_anchor_payload(a),
-        "residues": [a.graph.n % 6],
-        "marked_edge": list(marked),
-    }
-    return CertStep(step_id, "R2", (premise[1],), fact, side, {})
-
-
-def _apply_r3(record: BuildRecord, store: _FactStore, step_id: str) -> CertStep | None:
-    a, b = record.anchors
-    detail = record.detail
-    if a.graph.n % 6 != 0 or b.graph.n % 6 != 0:
-        return None
-    _cubic_sides(a.graph, b.graph)
-    marked = norm_edge(a.v, a.ports[0])
-    premise = store.get(KIND_CONTAINING, graph_hash(a.graph), edge=marked)
-    _require(
-        premise is not None,
-        f"R3 premise missing: no-factor-containing {marked} on the first operand",
-    )
-    out_vertex = detail.map_b[b.ports[1]]
-    out_edge = norm_edge(detail.map_a[a.ports[2]], detail.map_b[b.ports[2]])
-    fact = make_fact(
-        record.graph, KIND_MINUS_VERTEX_AVOIDING, vertex=out_vertex, edge=out_edge
-    )
-    side = {
-        "op": "vsub",
-        "a": _vertex_anchor_payload(a),
-        "b": _vertex_anchor_payload(b),
-        "residues": [0, 0],
-        "marked_edge": list(marked),
-    }
-    return CertStep(step_id, "R3", (premise[1],), fact, side, {})
-
-
-def _apply_r4(record: BuildRecord, store: _FactStore, step_id: str) -> CertStep:
-    a, b = record.anchors
-    detail = record.detail
-    _cubic_sides(a.graph, b.graph)
-    prem_a = store.get(KIND_CONTAINING, graph_hash(a.graph), edge=a.edge)
-    _require(
-        prem_a is not None,
-        f"R4 premise missing: no-factor-containing {a.edge} on the first operand",
-    )
-    prem_b = store.find_minus_vertex_avoiding(graph_hash(b.graph), b.edge)
-    _require(
-        prem_b is not None,
-        f"R4 premise missing: minus-vertex-avoiding {b.edge} on the second operand",
-    )
-    x = prem_b[0].vertex
-    _require(x not in b.edge, "R4 needs the deleted vertex not incident to the edge")
-    fact = make_fact(record.graph, KIND_MINUS_VERTEX, vertex=detail.map_b[x])
-    side = {
-        "op": "esub",
-        "a": _edge_anchor_payload(a),
-        "b": _edge_anchor_payload(b),
-        "residues": [0, 4],
-        "x": x,
-    }
-    return CertStep(step_id, "R4", (prem_a[1], prem_b[1]), fact, side, {})
-
-
-def _apply_r5(record: BuildRecord, store: _FactStore, step_id: str) -> CertStep:
-    a, b = record.anchors
-    detail = record.detail
-    _cubic_sides(a.graph, b.graph)
-    premise = store.get(KIND_MINUS_VERTEX, graph_hash(b.graph), vertex=b.e1)
-    _require(
-        premise is not None,
-        f"R5 premise missing: minus-vertex fact for the first endpoint {b.e1} "
-        "of the second operand's edge",
-    )
-    out_edge = norm_edge(detail.map_a[a.e2], detail.map_b[b.e2])
-    fact = make_fact(record.graph, KIND_AVOIDING, edge=out_edge)
-    side = {
-        "op": "esub",
-        "a": _edge_anchor_payload(a),
-        "b": _edge_anchor_payload(b),
-        "residues": [2, 4],
-    }
-    return CertStep(step_id, "R5", (premise[1],), fact, side, {})
-
-
-def _apply_r6(record: BuildRecord, store: _FactStore, step_id: str) -> CertStep:
-    a, b = record.anchors
-    detail = record.detail
-    _cubic_sides(a.graph, b.graph)
-    prem_a = store.get(KIND_CONTAINING, graph_hash(a.graph), edge=a.edge)
-    _require(
-        prem_a is not None,
-        f"R6 premise missing: no-factor-containing {a.edge} on the first operand",
-    )
-    prem_b = store.get(KIND_AVOIDING, graph_hash(b.graph), edge=b.edge)
-    _require(
-        prem_b is not None,
-        f"R6 premise missing: no-factor-avoiding {b.edge} on the second operand",
-    )
-    fact = make_fact(record.graph, KIND_NO_FACTOR)
-    side = {
-        "op": "esub",
-        "a": _edge_anchor_payload(a),
-        "b": _edge_anchor_payload(b),
-        "residues": [0, 0],
-    }
-    return CertStep(step_id, "R6", (prem_a[1], prem_b[1]), fact, side, {})
 
 
 # ----------------------------------------------------------------------
@@ -451,10 +448,9 @@ def _problem_payload(fact: Fact) -> dict:
     out: dict = {"mode": "FACTOR"}
     if fact.vertex is not None:
         out["deleted_vertices"] = [fact.vertex]
-    if fact.kind == KIND_CONTAINING:
-        out["forced_edges"] = [list(fact.edge)]
-    elif fact.kind in (KIND_AVOIDING, KIND_MINUS_VERTEX_AVOIDING):
-        out["forbidden_edges"] = [list(fact.edge)]
+    edge_field = _KINDS[fact.kind][1]
+    if edge_field is not None:
+        out[edge_field] = [list(fact.edge)]
     return out
 
 
@@ -480,7 +476,6 @@ def replay_pipeline(
     script: str = DEFAULT_SCRIPT,
     base_budget: Budget | None = None,
     deep: bool = False,
-    use_seams: bool = True,
 ) -> Certificate:
     """Evaluate a construction script and certify its no-factor facts.
 
@@ -533,10 +528,9 @@ def replay_pipeline(
         if size > BASE_BUDGETED_MAX and not deep:
             continue
         subject = graphs[fact.graph_hash]
-        seams = find_seams(subject) if use_seams else ()
         try:
             base = verify_base(
-                fact, subject, f"s{len(steps) + 1}", base_budget, seams
+                fact, subject, f"s{len(steps) + 1}", base_budget, find_seams(subject)
             )
         except FactRefuted as exc:
             raise ReplayError(
@@ -675,10 +669,10 @@ def check_certificate_detailed(
 ) -> list[str]:
     """All problems found while re-validating; empty list means valid.
 
-    Non-strict checking re-derives every rule step (rebuilding composites
-    from the stored operand graphs) and validates BASE problem encodings,
-    but accepts recorded UNSAT evidence.  ``strict=True`` re-runs every
-    BASE search.
+    Non-strict checking re-derives every rule step whole from its row of
+    :data:`RULES` (rebuilding the composite from the stored operand graphs)
+    and validates BASE problem encodings, but accepts recorded UNSAT
+    evidence.  ``strict=True`` re-runs every BASE search.
     """
     try:
         if isinstance(cert, str):
@@ -720,6 +714,9 @@ def check_certificate_detailed(
         except (CertificateError, GraphError, FactRefuted) as exc:
             problems.append(f"{where}: {exc}")
             continue
+        except (AttributeError, KeyError, TypeError) as exc:
+            problems.append(f"{where}: malformed step ({exc!r})")
+            continue
         if step.rule == "BASE" and step.evidence.get("verdict") != "UNSAT":
             # a recorded search attempt that ran out of budget grounds nothing
             continue
@@ -737,8 +734,9 @@ def check_certificate_detailed(
 def _check_base_step(cert: Certificate, step: CertStep, strict: bool) -> None:
     fact = step.conclusion
     subject = cert.graphs[fact.graph_hash]
-    payload = _problem_payload(fact)
-    if step.side_conditions.get("problem") != payload:
+    if step.premises:
+        raise CertificateError("BASE steps take no premises")
+    if step.side_conditions != {"problem": _problem_payload(fact)}:
         raise CertificateError("BASE problem encoding does not match the fact")
     verdict = step.evidence.get("verdict")
     if verdict not in ("UNSAT", "INDETERMINATE"):
@@ -754,128 +752,25 @@ def _check_base_step(cert: Certificate, step: CertStep, strict: bool) -> None:
 def _check_rule_step(
     cert: Certificate, step: CertStep, premises: list[Fact]
 ) -> None:
+    """Re-derive the step from its rule row and reject any difference."""
+    rule = _RULES_BY_NAME.get(step.rule)
+    if rule is None:
+        raise CertificateError(f"unknown rule {step.rule!r}")
     side = step.side_conditions
-    op = side.get("op")
-    rebuilt, detail, anchors = _rebuild(cert, side)
-    if graph_hash(rebuilt) != step.conclusion.graph_hash:
-        raise CertificateError("rebuilt composite does not match conclusion graph")
-
-    rule = step.rule
-    fact = step.conclusion
-    if rule == "R1":
-        _expect(op == "ebridge", "R1 needs an ebridge")
-        a, b = anchors
-        _expect(a.graph.n % 6 == 2 and b.graph.n % 6 == 2, "R1 residues")
-        _cubic_sides(a.graph, b.graph)
-        _expect(len(premises) == 0, "R1 takes no premises")
-        _expect(fact.kind == KIND_CONTAINING, "R1 concludes a containing fact")
-        _expect(fact.edge == detail.middle_edge, "R1 edge must be the middle edge")
-    elif rule == "R2":
-        _expect(op == "ymerge", "R2 needs a ymerge")
-        (a,) = anchors
-        _expect(a.graph.n % 6 == 0, "R2 residue")
-        _cubic_sides(a.graph)
-        marked = norm_edge(a.v, a.ports[0])
-        _match_premise(premises, 0, KIND_CONTAINING, graph_hash(a.graph), edge=marked)
-        _expect(fact.kind == KIND_NO_FACTOR, "R2 concludes no-factor")
-    elif rule == "R3":
-        _expect(op == "vsub", "R3 needs a vsub")
-        a, b = anchors
-        _expect(a.graph.n % 6 == 0 and b.graph.n % 6 == 0, "R3 residues")
-        _cubic_sides(a.graph, b.graph)
-        marked = norm_edge(a.v, a.ports[0])
-        _match_premise(premises, 0, KIND_CONTAINING, graph_hash(a.graph), edge=marked)
-        _expect(fact.kind == KIND_MINUS_VERTEX_AVOIDING, "R3 conclusion kind")
-        _expect(fact.vertex == detail.map_b[b.ports[1]], "R3 deleted vertex")
-        want = norm_edge(detail.map_a[a.ports[2]], detail.map_b[b.ports[2]])
-        _expect(fact.edge == want, "R3 avoided edge")
-    elif rule == "R4":
-        _expect(op == "esub", "R4 needs an esub")
-        a, b = anchors
-        _expect(a.graph.n % 6 == 0 and b.graph.n % 6 == 4, "R4 residues")
-        _cubic_sides(a.graph, b.graph)
-        _match_premise(premises, 0, KIND_CONTAINING, graph_hash(a.graph), edge=a.edge)
-        _match_premise(
-            premises, 1, KIND_MINUS_VERTEX_AVOIDING, graph_hash(b.graph), edge=b.edge
-        )
-        x = premises[1].vertex
-        _expect(x is not None and x not in b.edge, "R4 vertex incident to the edge")
-        _expect(fact.kind == KIND_MINUS_VERTEX, "R4 conclusion kind")
-        _expect(fact.vertex == detail.map_b[x], "R4 deleted vertex mapping")
-    elif rule == "R5":
-        _expect(op == "esub", "R5 needs an esub")
-        a, b = anchors
-        _expect(a.graph.n % 6 == 2 and b.graph.n % 6 == 4, "R5 residues")
-        _cubic_sides(a.graph, b.graph)
-        _match_premise(
-            premises, 0, KIND_MINUS_VERTEX, graph_hash(b.graph), vertex=b.e1
-        )
-        _expect(fact.kind == KIND_AVOIDING, "R5 conclusion kind")
-        want = norm_edge(detail.map_a[a.e2], detail.map_b[b.e2])
-        _expect(fact.edge == want, "R5 avoided edge")
-    elif rule == "R6":
-        _expect(op == "esub", "R6 needs an esub")
-        a, b = anchors
-        _expect(a.graph.n % 6 == 0 and b.graph.n % 6 == 0, "R6 residues")
-        _cubic_sides(a.graph, b.graph)
-        _match_premise(premises, 0, KIND_CONTAINING, graph_hash(a.graph), edge=a.edge)
-        _match_premise(premises, 1, KIND_AVOIDING, graph_hash(b.graph), edge=b.edge)
-        _expect(fact.kind == KIND_NO_FACTOR, "R6 conclusion kind")
-    else:
-        raise CertificateError(f"unknown rule {rule!r}")
-
-
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise CertificateError(message)
-
-
-def _match_premise(
-    premises: list[Fact],
-    index: int,
-    kind: str,
-    ghash: str,
-    vertex: int | None = None,
-    edge: Edge | None = None,
-) -> None:
-    _expect(index < len(premises), f"premise {index} missing")
-    p = premises[index]
-    _expect(p.kind == kind, f"premise {index} kind is {p.kind}, want {kind}")
-    _expect(p.graph_hash == ghash, f"premise {index} is about the wrong graph")
-    if vertex is not None:
-        _expect(p.vertex == vertex, f"premise {index} vertex mismatch")
-    if edge is not None:
-        _expect(p.edge == edge, f"premise {index} edge mismatch")
-
-
-def _rebuild(cert: Certificate, side: dict):
-    """Re-run the recorded construction from operand graphs in the table."""
-    op = side.get("op")
-
-    def vertex_anchor(payload: dict) -> cons.PortedVertex:
-        g = cert.graphs.get(payload["graph"])
-        _expect(g is not None, "operand graph missing from table")
-        return cons.PortedVertex(g, payload["vertex"], tuple(payload["ports"]))
-
-    def edge_anchor(payload: dict) -> cons.PortedEdge:
-        g = cert.graphs.get(payload["graph"])
-        _expect(g is not None, "operand graph missing from table")
-        return cons.PortedEdge(g, *payload["edge"])
-
-    if op == "ebridge":
-        a, b = edge_anchor(side["a"]), edge_anchor(side["b"])
-        detail = cons.ebridge_detail(a, b)
-        return detail.graph, detail, (a, b)
-    if op == "esub":
-        a, b = edge_anchor(side["a"]), edge_anchor(side["b"])
-        detail = cons.esub_detail(a, b)
-        return detail.graph, detail, (a, b)
-    if op == "vsub":
-        a, b = vertex_anchor(side["a"]), vertex_anchor(side["b"])
-        detail = cons.vsub_detail(a, b)
-        return detail.graph, detail, (a, b)
-    if op == "ymerge":
-        a = vertex_anchor(side["a"])
-        detail = cons.ymerge_detail(a)
-        return detail.graph, detail, (a,)
-    raise CertificateError(f"unknown construction op {op!r}")
+    anchors = tuple(
+        _anchor_from_payload(cert, rule.op, side[key])
+        for key in "ab"[: len(rule.residues)]
+    )
+    listed = _FactStore()
+    for pid, fact in zip(step.premises, premises):
+        listed.add(fact, pid)
+    detail = _OPS[rule.op][1](*anchors)
+    want = _derive(rule, anchors, detail, listed, step.step_id)
+    for what, got, expected in (
+        ("premises", step.premises, want.premises),
+        ("conclusion", step.conclusion, want.conclusion),
+        ("side conditions", side, want.side_conditions),
+        ("evidence", step.evidence, want.evidence),
+    ):
+        if got != expected:
+            raise CertificateError(f"{step.rule} step does not match its rebuilt {what}")

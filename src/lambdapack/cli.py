@@ -41,7 +41,7 @@ from .packing import (
     PackingProblem,
     solve,
 )
-from .pipeline import find_seams
+from .pipeline import DEFAULT_SCRIPT, find_seams
 from .planarity import is_planar
 from .sampling import sample_cubic
 
@@ -59,12 +59,12 @@ class _CliError(Exception):
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    nodes = args.budget_nodes or int(
-        os.environ.get("LAMBDAPACK_BUDGET_NODES", 100_000_000)
-    )
-    seconds = args.budget_seconds or float(
-        os.environ.get("LAMBDAPACK_BUDGET_SECONDS", 600.0)
-    )
+    nodes = args.budget_nodes
+    if nodes is None:
+        nodes = int(os.environ.get("LAMBDAPACK_BUDGET_NODES", 100_000_000))
+    seconds = args.budget_seconds
+    if seconds is None:
+        seconds = float(os.environ.get("LAMBDAPACK_BUDGET_SECONDS", 600.0))
     return Budget(max_nodes=nodes, max_seconds=seconds)
 
 
@@ -271,21 +271,16 @@ def _norm(e: tuple[int, int]) -> tuple[int, int]:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.pipeline == "default":
-        script = None
+        script = DEFAULT_SCRIPT
     else:
         try:
             script = Path(args.pipeline).read_text()
         except OSError as exc:
             raise _CliError(str(exc), EXIT_PARSE) from exc
     try:
-        if script is None:
-            certificate = cert_mod.replay_pipeline(
-                base_budget=_budget(args), deep=args.deep
-            )
-        else:
-            certificate = cert_mod.replay_pipeline(
-                script, base_budget=_budget(args), deep=args.deep
-            )
+        certificate = cert_mod.replay_pipeline(
+            script, base_budget=_budget(args), deep=args.deep
+        )
     except cert_mod.ReplayError as exc:
         cause = exc.__cause__
         code = EXIT_REFUTED if isinstance(cause, cert_mod.FactRefuted) else EXIT_BUDGET

@@ -1,5 +1,6 @@
 """Rule derivations, base grounding, certificate replay and validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -208,3 +209,91 @@ def test_certificate_payload_shape(default_cert):
         h == graph_hash(default_cert.graphs[h]) and h == h.lower()
         for h in data["graphs"]
     )
+
+
+#: SHA-256 of ``certificate_to_json(replay_pipeline())``: any change to the
+#: certificate format or to a derivation shows here, not only in a diff
+DEFAULT_CERT_SHA256 = "4289e2c05514ae34b039dd5921334223462939d60e3a35ccc09500f1078dd5e8"
+
+
+def test_default_certificate_bytes_are_pinned(default_cert):
+    text = certificate_to_json(default_cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CERT_SHA256
+
+
+#: side conditions each rule records besides op, its anchors and residues
+RULE_FIELDS = {
+    "R1": ("middle_edge",),
+    "R2": ("marked_edge",),
+    "R3": ("marked_edge",),
+    "R4": ("x",),
+    "R5": (),
+    "R6": (),
+}
+ANCHOR_KEYS = {"R2": ("a",)}
+VERTEX_ANCHOR_RULES = ("R2", "R3")
+OTHER_OP = {"ebridge": "esub", "esub": "ebridge", "vsub": "ymerge", "ymerge": "vsub"}
+
+
+def _mutation_cases():
+    for rule, fields in RULE_FIELDS.items():
+        mutations = ["op", "residues", *fields, "extra premise", "evidence"]
+        if rule in VERTEX_ANCHOR_RULES:
+            anchor_mutations = ("vertex", "ports")
+        else:
+            anchor_mutations = ("edge", "orientation")
+        for key in ANCHOR_KEYS.get(rule, ("a", "b")):
+            mutations += [f"{key}.{m}" for m in anchor_mutations]
+        for mutation in mutations:
+            yield rule, mutation
+
+
+def _mutate(data: dict, step: dict, mutation: str) -> None:
+    side = step["sideConditions"]
+    if mutation == "op":
+        side["op"] = OTHER_OP[side["op"]]
+    elif mutation == "evidence":
+        step["evidence"] = {"verdict": "SAT"}
+    elif mutation == "extra premise":
+        earlier = [s["id"] for s in data["steps"][: data["steps"].index(step)]]
+        fresh = [i for i in earlier if i not in step["premises"]]
+        step["premises"].append((fresh or earlier or [step["id"]])[0])
+    elif "." in mutation:
+        key, what = mutation.split(".")
+        anchor = side[key]
+        operand = data["graphs"][anchor["graph"]]
+        if what == "vertex":
+            w = (anchor["vertex"] + 1) % operand["n"]
+            anchor["vertex"] = w
+            anchor["ports"] = sorted(
+                v for e in operand["edges"] if w in e for v in e if v != w
+            )
+        elif what == "ports":
+            anchor["ports"] = anchor["ports"][1:] + anchor["ports"][:1]
+        elif what == "edge":
+            anchor["edge"] = next(
+                e for e in operand["edges"] if e != sorted(anchor["edge"])
+            )
+        else:
+            anchor["edge"] = anchor["edge"][::-1]
+    elif isinstance(side[mutation], list):
+        side[mutation] = [side[mutation][0] + 1, *side[mutation][1:]]
+    else:
+        side[mutation] += 1
+
+
+def test_mutation_cases_cover_every_side_condition(default_cert):
+    for step in default_cert.steps:
+        if step.rule != "BASE":
+            keys = ANCHOR_KEYS.get(step.rule, ("a", "b"))
+            expected = {"op", "residues", *keys, *RULE_FIELDS[step.rule]}
+            assert set(step.side_conditions) == expected
+
+
+@pytest.mark.parametrize("rule,mutation", list(_mutation_cases()))
+def test_rule_step_mutation_is_rejected(default_cert, rule, mutation):
+    data = json.loads(certificate_to_json(default_cert))
+    assert check_certificate(data)
+    step = next(s for s in data["steps"] if s["rule"] == rule)
+    _mutate(data, step, mutation)
+    assert not check_certificate(data)

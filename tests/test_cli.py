@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from lambdapack.cli import (
     EXIT_BUDGET,
@@ -108,6 +110,14 @@ def test_solve_stderr_names_exhausted_budget(capsys):
     assert "explored 1 nodes (node budget exhausted)" in err
 
 
+def test_zero_node_budget_is_honoured(capsys):
+    code, _, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--budget-nodes", "0"
+    )
+    assert code == EXIT_BUDGET
+    assert "(node budget exhausted)" in err
+
+
 def test_missing_script_is_parse_error(capsys):
     code, out, _ = run_cli(capsys, "solve", "--script", "no-such-file", "--max")
     assert code == EXIT_PARSE
@@ -206,8 +216,12 @@ def test_export_round_trip(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lambdapack.cli", "atlas"],
+        env=env,
         capture_output=True,
         text=True,
     )
