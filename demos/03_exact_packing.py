@@ -16,7 +16,7 @@ from lambdapack import (
     oracle_solve,
     solve,
 )
-from lambdapack.pipeline import build_pipeline, find_seams
+from lambdapack.pipeline import build_pipeline
 from lambdapack.sampling import sample_cubic
 
 print("=== path enumeration ===")
@@ -53,7 +53,7 @@ print("\n=== the heavy searches stay cheap ===")
 d = pipe.graph("D")
 x = pipe.marked_vertex_of_d()
 r = solve(PackingProblem(d, Mode.FACTOR, deleted_vertices=frozenset({x})),
-          budget=Budget(max_seconds=600), seams=find_seams(d))
+          budget=Budget(max_seconds=600))
 print(f"D minus its marked vertex: {r.verdict} in {r.stats.nodes} nodes "
       f"(prunes: {dict(r.stats.prunes)})")
 

@@ -57,7 +57,6 @@ from .packing import (
     PackingError,
     PackingProblem,
     PackingResult,
-    Seam,
     check_packing,
     crossing_pattern,
     enumerate_factors,
@@ -65,6 +64,7 @@ from .packing import (
     solve,
     residue_factor_clauses,
 )
+from .pipeline import Seam
 from .planarity import PlanarityReport, is_planar, verify_kuratowski, verify_rotation_system
 from .sampling import sample_cubic, sample_degree23, sample_subcubic
 

@@ -61,8 +61,8 @@ from dataclasses import dataclass, field
 from . import constructions as cons
 from .dsl import BuildRecord, run_script
 from .graph import Edge, Graph, GraphError, is_cubic, norm_edge
-from .packing import Budget, Mode, PackingProblem, PackingResult, Seam, solve
-from .pipeline import DEFAULT_SCRIPT, find_seams
+from .packing import Budget, Mode, PackingProblem, PackingResult, solve
+from .pipeline import DEFAULT_SCRIPT
 
 KIND_NO_FACTOR = "no_factor"
 KIND_CONTAINING = "no_factor_containing"
@@ -423,7 +423,6 @@ def verify_base(
     g: Graph,
     step_id: str,
     budget: Budget | None = None,
-    seams: tuple[Seam, ...] = (),
 ) -> CertStep:
     """Ground a fact by exhaustive search.
 
@@ -436,7 +435,7 @@ def verify_base(
             f"fact residual size {fact.residual_size()} is not divisible by 3"
         )
     problem = fact.to_problem(g)
-    result = solve(problem, budget or Budget(), seams=seams)
+    result = solve(problem, budget or Budget())
     if result.verdict == "SAT":
         raise FactRefuted(fact, result)
     evidence = {"verdict": result.verdict, "nodes": result.stats.nodes}
@@ -529,9 +528,7 @@ def replay_pipeline(
             continue
         subject = graphs[fact.graph_hash]
         try:
-            base = verify_base(
-                fact, subject, f"s{len(steps) + 1}", base_budget, find_seams(subject)
-            )
+            base = verify_base(fact, subject, f"s{len(steps) + 1}", base_budget)
         except FactRefuted as exc:
             raise ReplayError(
                 f"base search refuted {fact.kind} on "
@@ -738,15 +735,24 @@ def _check_base_step(cert: Certificate, step: CertStep, strict: bool) -> None:
         raise CertificateError("BASE steps take no premises")
     if step.side_conditions != {"problem": _problem_payload(fact)}:
         raise CertificateError("BASE problem encoding does not match the fact")
-    verdict = step.evidence.get("verdict")
+    evidence = step.evidence
+    nodes = evidence.get("nodes")
+    if set(evidence) != {"verdict", "nodes"} or type(nodes) is not int or nodes < 0:
+        raise CertificateError("BASE evidence must be a verdict and a node count")
+    verdict = evidence["verdict"]
     if verdict not in ("UNSAT", "INDETERMINATE"):
         raise CertificateError(f"BASE evidence verdict {verdict!r} is not probative")
     if strict and verdict == "UNSAT":
-        result = solve(fact.to_problem(subject), seams=find_seams(subject))
+        result = solve(fact.to_problem(subject))
         if result.verdict == "SAT":
             raise FactRefuted(fact, result)
         if result.verdict != "UNSAT":
             raise CertificateError("strict BASE re-run did not finish")
+        if result.stats.nodes != nodes:
+            raise CertificateError(
+                f"BASE evidence records {nodes} nodes, the re-run took "
+                f"{result.stats.nodes}"
+            )
 
 
 def _check_rule_step(

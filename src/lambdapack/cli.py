@@ -33,6 +33,7 @@ from .graph import (
     degree_profile,
     is_bipartite,
     is_cubic,
+    norm_edge,
 )
 from .packing import (
     Budget,
@@ -41,7 +42,7 @@ from .packing import (
     PackingProblem,
     solve,
 )
-from .pipeline import DEFAULT_SCRIPT, find_seams
+from .pipeline import DEFAULT_SCRIPT
 from .planarity import is_planar
 from .sampling import sample_cubic
 
@@ -241,14 +242,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             deleted_vertices=(base.deleted_vertices if base else frozenset())
             | frozenset(_parse_vertex(g, s) for s in args.delete_vertex),
             deleted_edges=(base.deleted_edges if base else frozenset())
-            | frozenset(_norm(_parse_edge(g, s)) for s in args.delete_edge),
+            | frozenset(norm_edge(*_parse_edge(g, s)) for s in args.delete_edge),
             forced_edges=(base.forced_edges if base else frozenset())
-            | frozenset(_norm(_parse_edge(g, s)) for s in args.force_edge),
+            | frozenset(norm_edge(*_parse_edge(g, s)) for s in args.force_edge),
             forbidden_edges=(base.forbidden_edges if base else frozenset())
-            | frozenset(_norm(_parse_edge(g, s)) for s in args.avoid_edge),
+            | frozenset(norm_edge(*_parse_edge(g, s)) for s in args.avoid_edge),
         )
-        seams = find_seams(g) if args.seams == "auto" else ()
-        result = solve(problem, _budget(args), seams=seams, target=args.target)
+        result = solve(problem, _budget(args), target=args.target)
     except (PackingError, GraphError) as exc:
         raise _CliError(str(exc), EXIT_PRECONDITION) from exc
     payload = {
@@ -263,10 +263,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"explored {result.stats.nodes} nodes{note}", file=sys.stderr)
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_BUDGET if result.verdict == "INDETERMINATE" else EXIT_OK
-
-
-def _norm(e: tuple[int, int]) -> tuple[int, int]:
-    return e if e[0] < e[1] else (e[1], e[0])
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -407,8 +403,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid-edge", action="append", default=[], metavar="E")
     p.add_argument("--delete-edge", action="append", default=[], metavar="E")
     p.add_argument("--delete-vertex", action="append", default=[], metavar="V")
-    p.add_argument("--seams", choices=("auto", "off"), default="auto",
-                   help="derive matching-cut annotations from labels (default auto)")
     _add_budget(p)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_solve)

@@ -33,11 +33,12 @@ Independent residual components are solved separately: the smaller ones
 are deepened to their least deficiency, the largest gets the rest of the
 slack, and a failure memo keyed on (component, forced edges) keeps the
 largest slack known to fail.  The main pruning rule is residue counting:
-a component of size m leaves at least m mod 3 vertices uncovered.
-Optional seam annotations (one side of a small matching edge cut, as
-produced by the composition operators) add a parity check keyed to the
-cut at slack 0, tallied separately in the statistics; with uncovered
-vertices allowed the check would be unsound.
+a component of size m leaves at least m mod 3 vertices uncovered.  The
+components left by a placed path are found from the path's free
+neighbours, which grow in lockstep until they meet, so a small piece cut
+off by a small edge cut (as the composition operators leave behind) is
+found, and at slack 0 pruned, after a walk of its own size; the search
+needs no annotation of where those cuts are.
 
 Budgets (node count and wall time) turn an unfinished search into an
 explicit INDETERMINATE result, never a silent wrong answer.  Every SAT or
@@ -179,18 +180,6 @@ class Budget:
     max_seconds: float = 600.0
 
 
-@dataclass(frozen=True)
-class Seam:
-    """One side of a small matching edge cut, used for solver statistics.
-
-    ``side`` is the vertex set on one side; the cut must have 2 or 3 edges
-    and be a matching (no shared endpoints), which is exactly what the
-    composition operators produce.
-    """
-
-    side: frozenset[int]
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -284,12 +273,7 @@ _Degrees = tuple[int, int]
 
 
 class _Engine:
-    def __init__(
-        self,
-        problem: PackingProblem,
-        budget: Budget,
-        seams: tuple[Seam, ...] = (),
-    ):
+    def __init__(self, problem: PackingProblem, budget: Budget):
         self.problem = problem
         g = problem.graph
         self.n = g.n
@@ -303,39 +287,9 @@ class _Engine:
         self.start = time.monotonic()
         # (component, forced edges in it) -> largest slack known to fail
         self.memo: dict[tuple[int, tuple[Edge, ...]], int] = {}
-        self.seams = [self._prep_seam(s) for s in seams]
         # enumeration mode: every factor found, in branch order
         self.factors: list[tuple[Triple, ...]] | None = None
         self.chosen: list[Triple | None] = []
-
-    def _prep_seam(self, seam: Seam) -> tuple[int, tuple[Edge, ...]]:
-        """Restrict a seam to usable cut edges; deletions may shrink the cut.
-
-        The parity check stays sound for a matching cut of any size: each
-        crossing path uses exactly one cut edge and covers 1 or 2 side
-        vertices, so once every cut edge is decided the free side residue
-        must vanish mod 3.
-        """
-        g = self.problem.graph
-        side = 0
-        for v in seam.side:
-            g.check_vertex(v)
-            side |= 1 << v
-        banned = self.problem.deleted_edges | self.problem.forbidden_edges
-        cut = tuple(
-            sorted(
-                e
-                for e in g.edges
-                if ((1 << e[0]) & side != 0) != ((1 << e[1]) & side != 0)
-                and e not in banned
-                and not (e[0] in self.problem.deleted_vertices)
-                and not (e[1] in self.problem.deleted_vertices)
-            )
-        )
-        ends = [v for e in cut for v in e]
-        if len(set(ends)) != len(ends):
-            raise PackingError("seam cut is not a matching")
-        return (side & self.alive_mask, cut)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -344,7 +298,11 @@ class _Engine:
         if self.stats.nodes >= self.budget.max_nodes:
             self.stats.exhausted = "nodes"
             raise _BudgetExceeded()
-        if self.stats.nodes % 2048 == 0 and time.monotonic() > self.deadline:
+        if self.stats.nodes % 2048 == 0:
+            self._check_clock()
+
+    def _check_clock(self) -> None:
+        if time.monotonic() >= self.deadline:
             self.stats.exhausted = "seconds"
             raise _BudgetExceeded()
 
@@ -384,24 +342,6 @@ class _Engine:
                 d1 |= b
         return d0, d1
 
-    def _seam_check(self, free: int) -> bool:
-        """False when some fully decided seam has unbalanced residue.
-
-        Sound only when every vertex of ``free`` must be covered (slack 0).
-        """
-        for side, cut in self.seams:
-            undecided = False
-            for u, v in cut:
-                if (free >> u) & 1 and (free >> v) & 1:
-                    undecided = True
-                    break
-            if undecided:
-                continue
-            if (side & free) and (side & free).bit_count() % 3 != 0:
-                self.stats.prunes["seam_parity"] += 1
-                return False
-        return True
-
     # -- candidate moves -------------------------------------------------
 
     def _paths_covering(self, v: int, free: int) -> list[Triple]:
@@ -439,12 +379,13 @@ class _Engine:
         Frames run on an explicit stack, so the depth of the search is not
         bounded by Python's recursion limit.
         """
+        self._check_clock()
         for u, v in forced:
             if not ((free >> u) & 1 and (free >> v) & 1):
                 self.stats.prunes["forced_dead"] += 1
                 return None
         deg = self._degrees(free, (0, 0), free)
-        stack = [self._split(free, slack, forced, deg)]
+        stack = [self._split(free, slack, forced, deg, self._components(free))]
         chosen = self.chosen = []
         result: list[Triple] | None = None
         while True:
@@ -462,9 +403,15 @@ class _Engine:
                 result = None
 
     def _split(
-        self, free: int, slack: int, forced: tuple[Edge, ...], deg: _Degrees
+        self,
+        free: int,
+        slack: int,
+        forced: tuple[Edge, ...],
+        deg: _Degrees,
+        comps: list[int],
     ) -> _Frame:
-        """Any free set: solve its components one by one, sharing the slack.
+        """Any free set: solve its components ``comps`` (ordered by lowest
+        vertex) one by one, sharing the slack.
 
         Each component leaves at least its size mod 3 uncovered.  The smaller
         components are deepened from that residue in steps of 3 until one
@@ -476,7 +423,6 @@ class _Engine:
                 return []
             self.factors.append(tuple(p for p in self.chosen if p is not None))
             return None
-        comps = self._components(free)
         need = sum(c.bit_count() % 3 for c in comps)
         if need > slack:
             self.stats.prunes["residue"] += 1
@@ -592,19 +538,56 @@ class _Engine:
         deg: _Degrees,
     ) -> _Frame | None:
         """The frame for what is left of a connected set after a removal,
-        or None when the seam parity check already rules it out.
+        or None when, at slack 0, a piece of it has a residue.
 
         ``near`` is the neighbourhood of the removed vertices: only their
-        free neighbours change residual degree.  When at most one is left,
-        the rest is still connected, so the component split is skipped.
+        free neighbours change residual degree, and every piece of ``rest``
+        holds one of them.  So the pieces are found by growing those
+        neighbours in lockstep, merging groups that meet, until at most one
+        group still grows: a group that stops is a whole piece, and the one
+        left is the rest.  When no group stops, ``rest`` is connected and
+        the component split is skipped.
         """
-        if not slack and self.seams and not self._seam_check(rest):
-            return None
         near &= rest
+        adj = self.adj
+        groups = [(1 << v, 1 << v) for v in _bits(near)]  # (group, last layer)
+        pieces: list[int] = []
+        done = 0
+        while len(groups) > 1:
+            grown: list[tuple[int, int]] = []
+            seen = 0
+            for group, layer in groups:
+                nxt = 0
+                while layer:
+                    b = layer & -layer
+                    layer ^= b
+                    nxt |= adj[b.bit_length() - 1]
+                layer = nxt & rest & ~group
+                group |= layer
+                if group & seen:  # it meets groups grown before it
+                    for other in [o for o in grown if o[0] & group]:
+                        grown.remove(other)
+                        group |= other[0]
+                        layer |= other[1]
+                seen |= group
+                grown.append((group, layer))
+            groups = []
+            for group, layer in grown:
+                if layer:
+                    groups.append((group, layer))
+                elif not slack and group.bit_count() % 3:
+                    self.stats.prunes["residue"] += 1
+                    return None
+                else:
+                    pieces.append(group)
+                    done |= group
         deg = self._degrees(rest, deg, near)
-        if rest and not near & (near - 1):
+        if groups:
+            pieces.append(rest & ~done)
+        if len(pieces) == 1:
             return self._comp(rest, slack, forced, deg)
-        return self._split(rest, slack, forced, deg)
+        pieces.sort(key=lambda c: c & -c)
+        return self._split(rest, slack, forced, deg, pieces)
 
     # -- greedy fallback (lower bound when a MAX budget runs out) -----------
 
@@ -632,7 +615,7 @@ class _Engine:
 def solve(
     problem: PackingProblem,
     budget: Budget | None = None,
-    seams: Iterable[Seam] = (),
+    seams: object = (),
     target: int | None = None,
 ) -> PackingResult:
     """Run the exact search for a problem; see the module docstring.
@@ -640,9 +623,11 @@ def solve(
     ``target`` (MAX mode only, >= 0) asks for any packing of size >= target and
     returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
     ``target`` paths, unless the paths covering forced edges outnumber it.
+    ``seams`` is accepted and ignored: the search finds every split of the
+    graph itself, so cut annotations add nothing.
     """
     budget = budget or Budget()
-    engine = _Engine(problem, budget, tuple(seams))
+    engine = _Engine(problem, budget)
     alive = engine.alive_mask
     live = alive.bit_count()
     forced = tuple(sorted(problem.forced_edges))
@@ -731,7 +716,7 @@ def enumerate_factors(
 
 
 # ----------------------------------------------------------------------
-# Crossing-case classification over a 3-edge matching seam
+# Crossing-case classification over a 3-edge matching cut
 # ----------------------------------------------------------------------
 
 _CASES_SIDE0MOD3 = {(1, 0): "a1.1", (0, 2): "a1.2", (2, 1): "a1.3"}

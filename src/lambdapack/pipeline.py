@@ -21,10 +21,10 @@ marked edge of K is z itself), and the prism anchor is o0 with ports in
 ascending id order.
 
 ``find_seams`` recovers every matching cut of size 2 or 3 that the
-composition operators left behind (readable off the label prefixes), for
-use as solver annotations.  ``family`` swaps ever larger prisms into the
-pipeline, yielding the infinite series of counterexamples; member 0 is the
-pipeline itself.
+composition operators left behind (readable off the label prefixes), as
+an analysis of the construction; the solver does not need them.
+``family`` swaps ever larger prisms into the pipeline, yielding the
+infinite series of counterexamples; member 0 is the pipeline itself.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from .constructions import side_vertices
 from .dsl import BuildRecord, run_script
 from .graph import Edge, Graph
-from .packing import Seam
 
 DEFAULT_SCRIPT = """\
 let K = ebridge(atlas(Q)@000-001, atlas(Q)@000-001)
@@ -96,6 +95,17 @@ def build_pipeline(script: str = DEFAULT_SCRIPT) -> PipelineGraphs:
         if rec.name is not None:
             records[rec.name] = rec
     return PipelineGraphs(records)
+
+
+@dataclass(frozen=True)
+class Seam:
+    """One side of a small matching edge cut left by a composition operator.
+
+    ``side`` is the vertex set on one side; the cut has 2 or 3 edges and is
+    a matching (no shared endpoints), which is what the operators produce.
+    """
+
+    side: frozenset[int]
 
 
 def find_seams(g: Graph) -> tuple[Seam, ...]:

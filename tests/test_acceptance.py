@@ -40,7 +40,6 @@ from lambdapack.constructions import (
 from lambdapack.pipeline import (
     EXPECTED_VERTEX_COUNTS,
     build_pipeline,
-    find_seams,
 )
 from lambdapack.planarity import is_planar, verify_rotation_system
 from lambdapack.sampling import sample_cubic, sample_subcubic
@@ -127,7 +126,6 @@ def test_criterion_3_base_fact_searches(pipe):
                 deleted_vertices=frozenset({pipe.marked_vertex_of_d()}),
             ),
             budget=Budget(max_seconds=600),
-            seams=find_seams(d),
         )
         if res.verdict == "INDETERMINATE":
             # downgrade path: record and require the rule-derived certificate
@@ -167,7 +165,6 @@ def test_criterion_5_lambda_of_n_is_23(pipe):
         upper = solve(
             PackingProblem(n_graph, Mode.FACTOR),
             budget=Budget(max_seconds=600),
-            seams=find_seams(n_graph),
         )
         assert upper.verdict == "UNSAT"
         # no factor means no packing of size 24 = 72/3, so lambda(N) = 23 < 24

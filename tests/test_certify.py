@@ -297,3 +297,26 @@ def test_rule_step_mutation_is_rejected(default_cert, rule, mutation):
     step = next(s for s in data["steps"] if s["rule"] == rule)
     _mutate(data, step, mutation)
     assert not check_certificate(data)
+
+
+#: edits of a BASE step's evidence, and whether a plain check catches them
+#: (a well-formed but wrong node count needs the strict re-run)
+BASE_EVIDENCE_MUTATIONS = {
+    "nodes forged": (lambda ev: {**ev, "nodes": 999999}, False),
+    "nodes negative": (lambda ev: {**ev, "nodes": -1}, True),
+    "nodes not an int": (lambda ev: {**ev, "nodes": str(ev["nodes"])}, True),
+    "nodes a bool": (lambda ev: {**ev, "nodes": True}, True),
+    "nodes missing": (lambda ev: {"verdict": ev["verdict"]}, True),
+    "extra key": (lambda ev: {**ev, "extra": 1}, True),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BASE_EVIDENCE_MUTATIONS))
+def test_base_step_mutation_is_rejected(default_cert, mutation):
+    data = json.loads(certificate_to_json(default_cert))
+    assert check_certificate(data, strict=True)
+    step = next(s for s in reversed(data["steps"]) if s["rule"] == "BASE")
+    change, plain_catches = BASE_EVIDENCE_MUTATIONS[mutation]
+    step["evidence"] = change(step["evidence"])
+    assert check_certificate(data) is not plain_catches
+    assert not check_certificate(data, strict=True)

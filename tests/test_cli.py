@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from lambdapack import dsl, io as gio
 from lambdapack.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -14,6 +17,8 @@ from lambdapack.cli import (
     EXIT_REFUTED,
     main,
 )
+from lambdapack.graph import Graph
+from lambdapack.pipeline import DEFAULT_SCRIPT
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +121,45 @@ def test_zero_node_budget_is_honoured(capsys):
     )
     assert code == EXIT_BUDGET
     assert "(node budget exhausted)" in err
+
+
+def test_zero_second_budget_is_honoured(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--budget-seconds", "0"
+    )
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["verdict"] == "INDETERMINATE"
+    assert "explored 0 nodes (time budget exhausted)" in err
+
+
+def test_loop_edge_is_precondition(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--force-edge", "3,3"
+    )
+    assert code == EXIT_PRECONDITION
+    assert out == "" and "loop edge" in err
+
+
+def test_seams_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--expr", "atlas(Q)", "--max", "--seams", "off"])
+    assert exc.value.code == EXIT_PARSE
+
+
+def test_solve_output_ignores_labels(tmp_path, capsys):
+    """N from its script and N with labels v0..v71 solve the same way."""
+    script = tmp_path / "pipeline.lp"
+    script.write_text(DEFAULT_SCRIPT)
+    n_graph = dsl.run_script(DEFAULT_SCRIPT)[-1].graph
+    bare = tmp_path / "n.json"
+    bare.write_text(gio.to_json(Graph.from_edges(n_graph.n, n_graph.sorted_edges())))
+    assert "v71" in bare.read_text() and "z1" not in bare.read_text()
+    code, labelled_out, _ = run_cli(capsys, "solve", "--script", str(script), "--factor")
+    assert code == EXIT_OK
+    code, bare_out, _ = run_cli(capsys, "solve", "--input", str(bare), "--factor")
+    assert code == EXIT_OK
+    assert json.loads(bare_out)["verdict"] == "UNSAT"
+    assert labelled_out == bare_out
 
 
 def test_missing_script_is_parse_error(capsys):

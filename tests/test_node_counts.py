@@ -5,16 +5,20 @@ regression gate of the solver: a change that makes any of these searches
 larger has to say why and move the bound.
 """
 
+import functools
+
 import pytest
 
 from lambdapack import Budget, Mode, PackingProblem, solve
-from lambdapack.pipeline import build_pipeline
+from lambdapack.pipeline import family
 from lambdapack.sampling import sample_cubic
 
 
-@pytest.fixture(scope="module")
-def pipe():
-    return build_pipeline()
+@functools.cache
+def pipeline_graph(name):
+    """Stage ``name`` of the default pipeline; ``N_9`` is N of family member 9."""
+    stage, _, m = name.partition("_")
+    return family(int(m or 0)).graph(stage)
 
 
 @pytest.mark.parametrize(
@@ -24,11 +28,13 @@ def pipe():
         ("N", Mode.MAX, None, "OPTIMUM", 372),
         ("N", Mode.MAX, 23, "SAT", 324),
         ("R", Mode.FACTOR, None, "UNSAT", 138),
+        ("R", Mode.MAX, None, "OPTIMUM", 156),
         ("F", Mode.MAX, 17, "SAT", 178),
+        ("N_9", Mode.MAX, None, "OPTIMUM", 408),
     ],
 )
-def test_pipeline_node_counts(pipe, name, mode, target, verdict, max_nodes):
-    r = solve(PackingProblem(pipe.graph(name), mode), target=target)
+def test_pipeline_node_counts(name, mode, target, verdict, max_nodes):
+    r = solve(PackingProblem(pipeline_graph(name), mode), target=target)
     assert r.verdict == verdict
     assert r.stats.nodes <= max_nodes
 

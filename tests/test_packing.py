@@ -1,5 +1,8 @@
 """Solver behavior: enumeration, both modes, constraints, budgets, witnesses."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from lambdapack import (
@@ -9,14 +12,14 @@ from lambdapack import (
     Mode,
     PackingError,
     PackingProblem,
-    Seam,
     atlas,
     check_packing,
     enumerate_paths,
     solve,
 )
 from lambdapack.pipeline import build_pipeline, find_seams
-from lambdapack.sampling import sample_cubic
+from lambdapack import packing
+from lambdapack.sampling import sample_cubic, sample_subcubic
 
 
 def test_lambda_path_canonical():
@@ -164,10 +167,17 @@ def test_stats_name_the_exhausted_budget():
     assert solve(PackingProblem(n, Mode.MAX)).stats.exhausted is None
     r = solve(PackingProblem(n, Mode.MAX), budget=Budget(max_nodes=50))
     assert (r.verdict, r.stats.exhausted) == ("INDETERMINATE", "nodes")
-    # the clock is read every 2048 nodes, and this search needs more
+    # a search far longer than 2048 nodes stops at the first clock reading
     big = PackingProblem(sample_cubic(600, 7), Mode.FACTOR)
     r = solve(big, budget=Budget(max_seconds=0.0))
     assert (r.verdict, r.stats.exhausted) == ("INDETERMINATE", "seconds")
+
+
+@pytest.mark.parametrize("mode", [Mode.FACTOR, Mode.MAX])
+def test_zero_second_budget_stops_a_small_search(mode):
+    """The deadline is checked before the first node, not only every 2048."""
+    r = solve(PackingProblem(atlas("S"), mode), budget=Budget(max_seconds=0))
+    assert (r.verdict, r.stats.exhausted, r.stats.nodes) == ("INDETERMINATE", "seconds", 0)
 
 
 def test_long_path_has_no_depth_limit():
@@ -195,21 +205,64 @@ def test_deterministic_witness():
     assert r1.stats.nodes == r2.stats.nodes
 
 
-def test_seam_annotations_accepted_and_sound():
+def test_labels_and_seams_do_not_change_the_search():
+    """The search finds each split itself: composition labels, and the seams
+    read off them, change no verdict, witness, node count or prune."""
     pipe = build_pipeline()
     d = pipe.graph("D")
+    bare = Graph.from_edges(d.n, d.sorted_edges())  # labels v0, v1, ...
     x = pipe.marked_vertex_of_d()
-    prob = PackingProblem(d, Mode.FACTOR, deleted_vertices=frozenset({x}))
-    plain = solve(prob)
-    seamed = solve(prob, seams=find_seams(d))
-    assert plain.verdict == seamed.verdict == "UNSAT"
-    assert seamed.stats.nodes <= plain.stats.nodes
+    runs = [
+        solve(PackingProblem(d, Mode.FACTOR, deleted_vertices=frozenset({x}))),
+        solve(
+            PackingProblem(d, Mode.FACTOR, deleted_vertices=frozenset({x})),
+            seams=find_seams(d),
+        ),
+        solve(PackingProblem(bare, Mode.FACTOR, deleted_vertices=frozenset({x}))),
+    ]
+    assert [r.verdict for r in runs] == ["UNSAT"] * 3
+    outcomes = {(r.paths, r.stats.nodes, tuple(sorted(r.stats.prunes.items()))) for r in runs}
+    assert len(outcomes) == 1
+    assert "seam_parity" not in runs[0].stats.prunes
 
 
-def test_seam_rejects_non_matching_cut():
-    k4 = atlas("K4")
-    with pytest.raises(PackingError):
-        solve(PackingProblem(k4, Mode.MAX), seams=(Seam(frozenset({0})),))
+def test_split_pieces_are_the_components(monkeypatch):
+    """The pieces found from the removed path's neighbours are exactly the
+    components a full search would find, in the same order, and a set
+    handed on as one piece is connected."""
+    engine = packing._Engine
+    split, comp = engine._split, engine._comp
+    sizes = []
+
+    def checked_split(self, free, slack, forced, deg, comps):
+        assert comps == self._components(free)
+        sizes.append(len(comps))
+        return split(self, free, slack, forced, deg, comps)
+
+    def checked_comp(self, c, slack, forced, deg):
+        assert len(self._components(c)) == 1
+        return comp(self, c, slack, forced, deg)
+
+    monkeypatch.setattr(engine, "_split", checked_split)
+    monkeypatch.setattr(engine, "_comp", checked_comp)
+    pipe = build_pipeline()
+    graphs = [pipe.graph("R"), pipe.graph("N")]
+    graphs += [sample_subcubic(30, seed) for seed in range(8)]
+    for g in graphs:
+        solve(PackingProblem(g, Mode.MAX))
+    assert max(sizes) >= 3
+
+
+def test_solver_imports_only_the_graph_module():
+    """Label conventions (seams, pipelines) stay out of the solver."""
+    source = Path(__file__).parents[1] / "src" / "lambdapack" / "packing.py"
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "graph"), ast.dump(node)
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            assert not node.module.startswith("lambdapack"), node.module
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("lambdapack") for a in node.names)
 
 
 def test_strict_packing_deficit_iff_no_factor():
