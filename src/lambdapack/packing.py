@@ -11,6 +11,13 @@ of query over a :class:`PackingProblem`:
 * ``target=k`` (MAX mode) -- is there a packing of at least k paths?
   Returns SAT with a witness of exactly k paths, or UNSAT.
 
+``target=k`` first tries a witness phase: a greedy packing that covers the
+forced edges and then the lowest-id free vertex each time, built without
+backtracking and at no search node.  When it reaches k paths it is the
+answer; otherwise the exact search below runs as if greedy had not.  The
+same greedy packing is the lower bound a MAX search reports when its
+budget runs out.
+
 All of them, and :func:`enumerate_factors`, run one depth-first search:
 find a packing of the free vertices that leaves at most ``slack`` of them
 uncovered and covers every forced edge.  FACTOR is slack 0; ``target=k``
@@ -41,9 +48,15 @@ found, and at slack 0 pruned, after a walk of its own size; the search
 needs no annotation of where those cuts are.
 
 Budgets (node count and wall time) turn an unfinished search into an
-explicit INDETERMINATE result, never a silent wrong answer.  Every SAT or
-OPTIMUM witness is re-checked by :func:`check_packing`, which shares no
-logic with the search.
+explicit INDETERMINATE result, never a silent wrong answer; both are read
+before any work, so a zero budget ends every query INDETERMINATE.  Every
+witness ``solve`` returns (SAT, OPTIMUM, or the INDETERMINATE lower bound)
+is re-checked by :func:`check_packing`, which shares no logic with the
+search, and every UNSAT comes from an exhaustive search.
+
+:func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
+nearly all satisfiable; it answers each from the factors it has already
+found when one fits, and searches only the rest.
 """
 
 from __future__ import annotations
@@ -165,7 +178,8 @@ class PackingResult:
 
     verdict is one of SAT / UNSAT / OPTIMUM / INDETERMINATE.  For OPTIMUM,
     ``value`` equals the witness size.  For INDETERMINATE in MAX mode,
-    ``value`` and ``paths`` carry the best packing found (a lower bound).
+    ``value`` and ``paths`` carry a greedy packing (a lower bound), or None
+    when greedy cannot cover the forced edges.
     """
 
     verdict: str
@@ -295,13 +309,16 @@ class _Engine:
 
     def _tick(self) -> None:
         self.stats.nodes += 1
+        if self.stats.nodes >= self.budget.max_nodes or self.stats.nodes % 2048 == 0:
+            self._check_budget()
+
+    def _check_budget(self) -> None:
+        """Stop when the node budget or the deadline is spent.  Read before
+        any work, so a zero budget of either kind stops even a query that
+        needs no node, and then by ``_tick`` (the clock every 2048 nodes)."""
         if self.stats.nodes >= self.budget.max_nodes:
             self.stats.exhausted = "nodes"
             raise _BudgetExceeded()
-        if self.stats.nodes % 2048 == 0:
-            self._check_clock()
-
-    def _check_clock(self) -> None:
         if time.monotonic() >= self.deadline:
             self.stats.exhausted = "seconds"
             raise _BudgetExceeded()
@@ -379,7 +396,7 @@ class _Engine:
         Frames run on an explicit stack, so the depth of the search is not
         bounded by Python's recursion limit.
         """
-        self._check_clock()
+        self._check_budget()
         for u, v in forced:
             if not ((free >> u) & 1 and (free >> v) & 1):
                 self.stats.prunes["forced_dead"] += 1
@@ -589,12 +606,28 @@ class _Engine:
         pieces.sort(key=lambda c: c & -c)
         return self._split(rest, slack, forced, deg, pieces)
 
-    # -- greedy fallback (lower bound when a MAX budget runs out) -----------
+    # -- greedy witness (target= first; the lower bound when a budget runs out)
 
-    def greedy(self) -> tuple[Triple, ...]:
+    def greedy(self, forced: tuple[Edge, ...]) -> list[Triple] | None:
+        """A packing built without backtracking, or None when some forced
+        edge cannot be covered: each forced edge not yet covered takes its
+        first candidate path, then the lowest-id free vertex takes its first
+        candidate path or is dropped.  It costs no search node."""
         free = self.alive_mask
         out: list[Triple] = []
-        v = 0
+        covered: set[Edge] = set()
+        for u, v in forced:
+            if (u, v) in covered:
+                continue
+            if not ((free >> u) & 1 and (free >> v) & 1):
+                return None
+            moves = self._paths_through_edge(u, v, free)
+            if not moves:
+                return None
+            path = moves[0]
+            out.append(path)
+            covered.update(LambdaPath.of(*path).edges)
+            free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
         while free:
             v = (free & -free).bit_length() - 1
             moves = self._paths_covering(v, free)
@@ -604,7 +637,7 @@ class _Engine:
                 free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
             else:
                 free &= ~(1 << v)
-        return tuple(out)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +655,8 @@ def solve(
 
     ``target`` (MAX mode only, >= 0) asks for any packing of size >= target and
     returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
-    ``target`` paths, unless the paths covering forced edges outnumber it.
+    ``target`` paths, unless the paths covering forced edges outnumber it;
+    it comes from greedy, at 0 nodes, when greedy reaches ``target``.
     ``seams`` is accepted and ignored: the search finds every split of the
     graph itself, so cut annotations add nothing.
     """
@@ -640,9 +674,13 @@ def solve(
         if target is not None:
             if target < 0:
                 raise PackingError("target must be >= 0")
-            wit = None
-            if 3 * target <= live:
-                wit = engine.search(alive, live - 3 * target, forced)
+            # witness phase: the search runs only when greedy falls short
+            engine._check_budget()
+            wit = engine.greedy(forced)
+            if wit is None or len(wit) < target:
+                wit = None
+                if 3 * target <= live:
+                    wit = engine.search(alive, live - 3 * target, forced)
             if wit is not None:
                 # keep every path on a forced edge, then fill up to ``target``
                 edges = problem.forced_edges
@@ -659,14 +697,8 @@ def solve(
             slack += 3
         return _finish(problem, engine, "UNSAT", None)
     except _BudgetExceeded:
-        engine.stats.elapsed = time.monotonic() - engine.start
-        value = None
-        paths = None
-        if problem.mode == Mode.MAX:
-            greedy = engine.greedy()
-            paths = tuple(LambdaPath.of(*t) for t in greedy)
-            value = len(paths)
-        return PackingResult("INDETERMINATE", value, paths, engine.stats)
+        wit = engine.greedy(forced) if problem.mode == Mode.MAX else None
+        return _finish(problem, engine, "INDETERMINATE", wit)
 
 
 def _finish(
@@ -677,7 +709,7 @@ def _finish(
 ) -> PackingResult:
     engine.stats.elapsed = time.monotonic() - engine.start
     paths = value = None
-    if triples is not None and verdict in ("SAT", "OPTIMUM"):
+    if triples is not None:
         paths = tuple(
             sorted((LambdaPath.of(*t) for t in triples), key=lambda p: p.vertices)
         )
@@ -787,16 +819,53 @@ def residue_factor_clauses(
     """Evaluate the constrained-factor clauses applicable to v(G) mod 6.
 
     Residue 0: z1..z5; residue 2: t2; residue 4: f1, f2.  Every applicable
-    clause is decided by constrained solver queries; the rest report n/a.
+    clause is decided by constrained factor queries, asked in a fixed order
+    until one fails; the rest report n/a.
+
+    Almost every query has a factor, so each one first looks for it among
+    the factors already found: one with the same deleted vertices that uses
+    none of the query's deleted or forbidden edges and covers its forced
+    edges, or a factor of G less the paths that cover exactly the deleted
+    vertices (a factor of G containing a path on V(p), less that path, is
+    a factor of G - V(p)).  A reused factor is
+    re-checked by :func:`check_packing` and costs no search node.  Only the
+    other queries are searched, each under its own ``budget``, so every
+    "fails" and "indeterminate" comes from a search, on the same query as
+    without the pool.
     """
     if not is_cubic(g):
         raise PackingError("predicate battery expects a cubic graph")
     budget = budget or Budget()
     residue = g.n % 6
     out: dict[str, ClauseResult] = {}
+    edges = g.sorted_edges()
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    # deleted vertices -> (factor, mask of its edges), every factor found so far
+    pool: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int]]] = {}
+
+    def edge_mask(paths: Iterable[LambdaPath]) -> int:
+        return sum(bit[e] for p in paths for e in p.edges)
+
+    def pooled(prob: PackingProblem) -> bool:
+        dead = prob.deleted_vertices
+        banned = sum(bit[e] for e in prob.deleted_edges | prob.forbidden_edges)
+        forced = sum(bit[e] for e in prob.forced_edges)
+        found = list(pool.get(dead, ()))
+        if dead:
+            for paths, _ in pool.get(frozenset(), ()):
+                kept = tuple(p for p in paths if dead.isdisjoint(p.vertices))
+                if 3 * (len(paths) - len(kept)) == len(dead):
+                    found.append((kept, edge_mask(kept)))
+        for paths, mask in found:
+            if not mask & banned and not forced & ~mask:
+                check_packing(prob, paths)
+                return True
+        return False
 
     def decide(name: str, queries: Iterable[tuple[PackingProblem, str]]) -> None:
         for prob, what in queries:
+            if pooled(prob):
+                continue
             res = solve(prob, budget)
             if res.verdict == "INDETERMINATE":
                 out[name] = ClauseResult("indeterminate", what)
@@ -804,12 +873,14 @@ def residue_factor_clauses(
             if res.verdict != "SAT":
                 out[name] = ClauseResult("fails", what)
                 return
+            pool.setdefault(prob.deleted_vertices, []).append(
+                (res.paths, edge_mask(res.paths))
+            )
         out[name] = ClauseResult("holds")
 
     def factor_problem(**kw) -> PackingProblem:
         return PackingProblem(g, Mode.FACTOR, **kw)
 
-    edges = g.sorted_edges()
     if residue == 0:
         decide("z1", [(factor_problem(), "factor")])
         decide(

@@ -132,6 +132,27 @@ def test_zero_second_budget_is_honoured(capsys):
     assert "explored 0 nodes (time budget exhausted)" in err
 
 
+@pytest.mark.parametrize(
+    "flag, note", [("--budget-nodes", "node"), ("--budget-seconds", "time")]
+)
+def test_zero_budget_is_honoured_for_target(capsys, flag, note):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--target", "2", flag, "0"
+    )
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["verdict"] == "INDETERMINATE"
+    assert f"explored 0 nodes ({note} budget exhausted)" in err
+
+
+def test_sample_test_bound_is_deterministic(capsys):
+    args = ("sample", "-n", "60", "--count", "3", "--seed", "1", "--test-bound")
+    code, out1, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    assert json.loads(out1)["violations"] == 0
+    _, out2, _ = run_cli(capsys, *args)
+    assert out1 == out2
+
+
 def test_loop_edge_is_precondition(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--expr", "atlas(Q)", "--max", "--force-edge", "3,3"

@@ -9,7 +9,7 @@ import functools
 
 import pytest
 
-from lambdapack import Budget, Mode, PackingProblem, solve
+from lambdapack import Budget, Mode, PackingProblem, packing, residue_factor_clauses, solve
 from lambdapack.pipeline import family
 from lambdapack.sampling import sample_cubic
 
@@ -50,3 +50,47 @@ def test_random_cubic_max_within_budget():
     r = solve(problem, Budget(max_nodes=5_000))
     assert r.verdict == "OPTIMUM"
     assert r.value == len(r.paths)
+
+
+# The 23-packing of N that the exact search finds; greedy reaches only 21
+# paths there, so this witness must come from the search, unchanged.
+N_TARGET23_WITNESS = [
+    (0, 2, 3), (1, 5, 4), (8, 16, 19), (9, 11, 10), (12, 13, 15), (17, 44, 46),
+    (18, 65, 64), (20, 21, 25), (23, 22, 24), (26, 28, 29), (30, 32, 33),
+    (31, 27, 43), (35, 37, 41), (36, 34, 42), (39, 38, 40), (45, 47, 51),
+    (49, 48, 50), (52, 54, 55), (56, 58, 59), (57, 53, 60), (61, 62, 63),
+    (66, 67, 68), (69, 70, 71),
+]
+
+
+def test_n_target23_witness_comes_from_the_search():
+    r = solve(PackingProblem(pipeline_graph("N"), Mode.MAX), target=23)
+    assert r.verdict == "SAT" and r.stats.nodes <= 324
+    assert [p.vertices for p in r.paths] == N_TARGET23_WITNESS
+
+
+@pytest.mark.parametrize("n, seed", [(60, 1), (240, 2), (600, 3)])
+def test_cubic_lower_bound_needs_no_search(n, seed):
+    """Greedy alone reaches ceil(n/4) paths on these cubic graphs."""
+    r = solve(PackingProblem(sample_cubic(n, seed), Mode.MAX), target=-(-n // 4))
+    assert (r.verdict, r.stats.nodes, len(r.paths)) == ("SAT", 0, -(-n // 4))
+
+
+@pytest.mark.parametrize(
+    "seed, max_calls, max_nodes", [(0, 39, 355), (1, 38, 368), (2, 38, 319)]
+)
+def test_clause_battery_search_counts(seed, max_calls, max_nodes, monkeypatch):
+    """Search calls and their total nodes over the battery on a 24-vertex
+    cubic graph (775 queries), most of which the witness pool answers."""
+    searches = []
+
+    def counting_solve(*args, **kwargs):
+        r = solve(*args, **kwargs)
+        searches.append(r.stats.nodes)
+        return r
+
+    monkeypatch.setattr(packing, "solve", counting_solve)
+    report = residue_factor_clauses(sample_cubic(24, seed))
+    assert all(r.status == "holds" for name, r in report.items() if name[0] == "z")
+    assert len(searches) <= max_calls
+    assert sum(searches) <= max_nodes

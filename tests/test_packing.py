@@ -180,6 +180,47 @@ def test_zero_second_budget_stops_a_small_search(mode):
     assert (r.verdict, r.stats.exhausted, r.stats.nodes) == ("INDETERMINATE", "seconds", 0)
 
 
+def test_indeterminate_max_covers_forced_edges():
+    """The lower bound returned when a budget runs out is itself admissible."""
+    n = build_pipeline().graph("N")
+    problem = PackingProblem(n, Mode.MAX, forced_edges=frozenset({(70, 71)}))
+    r = solve(problem, Budget(max_nodes=5))
+    assert r.verdict == "INDETERMINATE"
+    check_packing(problem, r.paths)
+    assert r.value == len(r.paths) and any((70, 71) in p.edges for p in r.paths)
+
+
+def test_indeterminate_max_without_admissible_greedy_has_no_value():
+    """Greedy takes 0-1-2 for the first forced edge, which strands 3-4."""
+    path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    problem = PackingProblem(path, Mode.MAX, forced_edges=frozenset({(0, 1), (3, 4)}))
+    r = solve(problem, Budget(max_nodes=0))
+    assert (r.verdict, r.value, r.paths) == ("INDETERMINATE", None, None)
+    assert solve(problem).verdict == "UNSAT"
+
+
+@pytest.mark.parametrize(
+    "budget, exhausted",
+    [(Budget(max_nodes=0), "nodes"), (Budget(max_seconds=0), "seconds")],
+)
+def test_zero_budget_stops_the_target_witness_phase(budget, exhausted):
+    """Greedy would find 2 paths in the cube at once; a zero budget of
+    either kind still ends the query before it."""
+    r = solve(PackingProblem(atlas("Q"), Mode.MAX), budget, target=2)
+    assert (r.verdict, r.stats.exhausted, r.stats.nodes) == ("INDETERMINATE", exhausted, 0)
+    assert solve(PackingProblem(atlas("Q"), Mode.MAX), target=2).stats.nodes == 0
+
+
+def test_greedy_target_witness_keeps_forced_paths():
+    """target=0 with a forced edge still returns the path on that edge."""
+    k = build_pipeline().graph("K")
+    edge = min(k.edges)
+    problem = PackingProblem(k, Mode.MAX, forced_edges=frozenset({edge}))
+    r = solve(problem, target=0)
+    assert r.verdict == "SAT" and r.stats.nodes == 0
+    assert len(r.paths) == 1 and edge in r.paths[0].edges
+
+
 def test_long_path_has_no_depth_limit():
     """One frame per placed path would exceed Python's recursion limit here."""
     n = 3000

@@ -2,9 +2,83 @@
 
 import pytest
 
-from lambdapack import Mode, PackingError, PackingProblem, atlas, solve, residue_factor_clauses
+from lambdapack import (
+    Mode,
+    PackingError,
+    PackingProblem,
+    atlas,
+    enumerate_paths,
+    packing,
+    residue_factor_clauses,
+    solve,
+)
 from lambdapack.graph import Graph, components, degree_profile
+from lambdapack.oracle import oracle_solve
 from lambdapack.sampling import sample_cubic, sample_degree23
+
+CLAUSES = ("z1", "z2", "z3", "z4", "z5", "t2", "f1", "f2")
+
+
+def clause_queries(g):
+    """Each applicable clause's FACTOR queries with their details, in the
+    order the clause is defined: the battery's contract, written out plainly."""
+
+    def q(**kw):
+        return PackingProblem(g, Mode.FACTOR, **kw)
+
+    edges = g.sorted_edges()
+    if g.n % 6 == 0:
+        return {
+            "z1": [(q(), "factor")],
+            "z2": [(q(forbidden_edges=frozenset({e})), f"avoid {e}") for e in edges],
+            "z3": [(q(forced_edges=frozenset({e})), f"contain {e}") for e in edges],
+            "z4": [
+                (q(deleted_edges=frozenset({e1, e2})), f"minus edges {e1},{e2}")
+                for i, e1 in enumerate(edges)
+                for e2 in edges[i + 1 :]
+            ],
+            "z5": [
+                (q(deleted_vertices=frozenset(p.vertices)), f"minus path {p.vertices}")
+                for p in enumerate_paths(g)
+            ],
+        }
+    if g.n % 6 == 2:
+        return {
+            "t2": [
+                (q(deleted_vertices=frozenset(e)), f"minus endpoints of {e}")
+                for e in edges
+            ]
+        }
+    if g.n % 6 == 4:
+        return {
+            "f1": [(q(deleted_vertices=frozenset({x})), f"minus {x}") for x in range(g.n)],
+            "f2": [
+                (
+                    q(deleted_vertices=frozenset({x}), deleted_edges=frozenset({e})),
+                    f"minus {x} and {e}",
+                )
+                for x in range(g.n)
+                for e in edges
+            ],
+        }
+    return {}
+
+
+def reference_clauses(g, decide=solve):
+    """One ``decide`` call per query, in order, until a clause's first failure."""
+    out = {name: ("n/a", "") for name in CLAUSES}
+    for name, queries in clause_queries(g).items():
+        out[name] = ("holds", "")
+        for prob, what in queries:
+            verdict = decide(prob).verdict
+            if verdict != "SAT":
+                out[name] = ("fails" if verdict == "UNSAT" else "indeterminate", what)
+                break
+    return out
+
+
+def statuses(report):
+    return {name: (r.status, r.detail) for name, r in report.items()}
 
 
 def test_k4_residue_4_clauses():
@@ -27,10 +101,42 @@ def test_six_prism_clauses():
 
 
 def test_cube_residue_2():
-    report = residue_factor_clauses(atlas("Q"))
-    assert report["t2"].status in ("holds", "fails")
+    q = atlas("Q")
+    report = residue_factor_clauses(q)
+    assert statuses(report) == reference_clauses(q, oracle_solve)
     assert report["z1"].status == "n/a"
     assert report["f1"].status == "n/a"
+
+
+def test_battery_matches_one_search_per_query():
+    """Answers drawn from the witness pool change no status and no detail,
+    on graphs of each residue where clauses hold and where they fail."""
+    seen = set()
+    for n, seed in [(18, 0), (18, 4), (20, 0), (20, 2), (22, 0), (24, 0)]:
+        g = sample_cubic(n, seed)
+        expected = reference_clauses(g)
+        assert statuses(residue_factor_clauses(g)) == expected, (n, seed)
+        seen |= {status for status, _ in expected.values()}
+    assert seen == {"holds", "fails", "n/a"}
+
+
+@pytest.mark.parametrize("n, seed", [(18, 0), (22, 0), (24, 0)])
+def test_battery_searches_fewer_queries_than_it_asks(n, seed, monkeypatch):
+    """Residues 0 and 4 ask many queries with the same deleted vertices, and
+    most are answered from factors found before.  (Every t2 query deletes
+    different vertices, so residue 2 searches each one.)"""
+    g = sample_cubic(n, seed)
+    asked = sum(len(qs) for qs in clause_queries(g).values())
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(packing, "solve", counting_solve)
+    report = residue_factor_clauses(g)
+    assert all(r.status in ("holds", "n/a") for r in report.values())
+    assert 0 < len(calls) < asked
 
 
 def test_non_cubic_rejected():
