@@ -197,17 +197,6 @@ class Certificate:
     final_facts: tuple[Fact, ...]
     notes: tuple[str, ...] = NOTES
 
-    def fact_for(self, name: str) -> Fact | None:
-        """The strongest fact concluded about the graph bound to ``name``."""
-        wanted = {h for h, n in self.graph_names.items() if n == name}
-        for fact in reversed(self.final_facts):
-            if fact.graph_hash in wanted:
-                return fact
-        for step in reversed(self.steps):
-            if step.conclusion.graph_hash in wanted:
-                return step.conclusion
-        return None
-
 
 # ----------------------------------------------------------------------
 # The rule table
@@ -328,14 +317,6 @@ RULES = (
 
 _RULES_BY_NAME = {rule.name: rule for rule in RULES}
 
-#: construction operator -> (anchor type, detail builder)
-_OPS = {
-    "ebridge": (cons.PortedEdge, cons.ebridge_detail),
-    "esub": (cons.PortedEdge, cons.esub_detail),
-    "vsub": (cons.PortedVertex, cons.vsub_detail),
-    "ymerge": (cons.PortedVertex, cons.ymerge_detail),
-}
-
 
 def _anchor_payload(a: cons.PortedVertex | cons.PortedEdge, ghash: str) -> dict:
     if isinstance(a, cons.PortedVertex):
@@ -347,7 +328,7 @@ def _anchor_from_payload(cert: Certificate, op: str, payload: dict):
     g = cert.graphs.get(payload["graph"])
     if g is None:
         raise CertificateError("operand graph missing from table")
-    if _OPS[op][0] is cons.PortedVertex:
+    if cons.OPERATORS[op].anchor is cons.PortedVertex:
         return cons.PortedVertex(g, payload["vertex"], tuple(payload["ports"]))
     return cons.PortedEdge(g, *payload["edge"])
 
@@ -770,7 +751,7 @@ def _check_rule_step(
     listed = _FactStore()
     for pid, fact in zip(step.premises, premises):
         listed.add(fact, pid)
-    detail = _OPS[rule.op][1](*anchors)
+    detail = cons.OPERATORS[rule.op].detail(*anchors)
     want = _derive(rule, anchors, detail, listed, step.step_id)
     for what, got, expected in (
         ("premises", step.premises, want.premises),

@@ -9,16 +9,14 @@ time) never appear in it, only deterministic ones (node counts).
 Exit codes: 0 success; 2 parse/input error; 3 precondition violation;
 4 budget exhausted; 5 a claimed fact was refuted by a search witness.
 
-Budgets default to 1e8 nodes / 600 s and can be overridden per invocation
-(``--budget-nodes``, ``--budget-seconds``) or via the environment
-variables ``LAMBDAPACK_BUDGET_NODES`` / ``LAMBDAPACK_BUDGET_SECONDS``.
+Budgets default to those of ``Budget()`` (1e8 nodes / 600 s) and can be
+overridden per invocation (``--budget-nodes``, ``--budget-seconds``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -60,13 +58,7 @@ class _CliError(Exception):
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    nodes = args.budget_nodes
-    if nodes is None:
-        nodes = int(os.environ.get("LAMBDAPACK_BUDGET_NODES", 100_000_000))
-    seconds = args.budget_seconds
-    if seconds is None:
-        seconds = float(os.environ.get("LAMBDAPACK_BUDGET_SECONDS", 600.0))
-    return Budget(max_nodes=nodes, max_seconds=seconds)
+    return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -342,12 +334,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_REFUTED if violations else EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    _emit(args, _graph_text(g, args.to))
-    return EXIT_OK
-
-
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
@@ -362,8 +348,9 @@ def _add_graph_source(p: argparse.ArgumentParser, with_name: bool = True) -> Non
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    default = Budget()
+    p.add_argument("--budget-nodes", type=int, default=default.max_nodes)
+    p.add_argument("--budget-seconds", type=float, default=default.max_seconds)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -433,9 +420,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert between graph formats")
     _add_graph_source(p)
-    p.add_argument("--to", choices=("json", "dot"), required=True)
+    p.add_argument("--to", dest="format", choices=("json", "dot"), required=True)
     p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(func=_cmd_build)
 
     return parser
 

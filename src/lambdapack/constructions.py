@@ -25,11 +25,18 @@ operand graphs into the composite and the newly created edges; the plain
 functions return just the graph.  Labels record provenance: "A."/"B."
 prefixes for binary operators, "Y1."/"Y2."/"Y3." for the triple merge,
 and fresh vertices are labeled z1/z2/z3.
+
+:data:`OPERATORS` declares each operator once: its anchor type, anchor
+count and ``*_detail`` builder.  The construction language and the
+certifier read it, so a new operator is one row there, plus a
+``certify.RULES`` row if an inference rule applies to it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Edge, Graph, GraphError, norm_edge
 
@@ -68,12 +75,7 @@ class PortedVertex:
     @staticmethod
     def default(g: Graph, v: int) -> "PortedVertex":
         """Ports in ascending id order."""
-        if g.degree(v) != 3:
-            raise ConstructionError(
-                f"vertex {v} ({g.labels[v]!r}) has degree {g.degree(v)}, need 3"
-            )
-        a, b, c = g.adj[v]
-        return PortedVertex(g, v, (a, b, c))
+        return PortedVertex(g, v, g.neighbors(v))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -240,30 +242,38 @@ def ebridge_detail(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
 
     The edge between the two new vertices is the designated middle edge.
     """
-    ga, gb = a.graph, b.graph
-    map_a, labels_a = _copy_side(ga, frozenset(), "A.", 0)
-    map_b, labels_b = _copy_side(gb, frozenset(), "B.", len(labels_a))
-    z1 = len(labels_a) + len(labels_b)
-    z2 = z1 + 1
-    labels = labels_a + labels_b + ["z1", "z2"]
-    edges = [(map_a[u], map_a[v]) for u, v in ga.edges if norm_edge(u, v) != a.edge]
-    edges += [(map_b[u], map_b[v]) for u, v in gb.edges if norm_edge(u, v) != b.edge]
-    new = (
-        norm_edge(map_a[a.e1], z1),
-        norm_edge(z1, map_b[b.e1]),
-        norm_edge(map_a[a.e2], z2),
-        norm_edge(z2, map_b[b.e2]),
-        norm_edge(z1, z2),
-    )
-    edges += new
-    graph = Graph.from_edges(z2 + 1, edges, labels)
-    return BinaryDetail(graph, map_a, map_b, new, middle_edge=norm_edge(z1, z2))
+    sub = esub_detail(a, b)
+    z1, z2 = sub.graph.n, sub.graph.n + 1
+    # each bridge (x, y) becomes x-z-y; z1, z2 exceed every id, so the
+    # halves are already normalized
+    (x1, y1), (x2, y2) = sub.new_edges
+    new = ((x1, z1), (y1, z1), (x2, z2), (y2, z2), (z1, z2))
+    edges = sub.graph.edges.difference(sub.new_edges).union(new)
+    graph = Graph(z2 + 1, edges, sub.graph.labels + ("z1", "z2"))
+    return BinaryDetail(graph, sub.map_a, sub.map_b, new, middle_edge=(z1, z2))
 
 
 def ebridge(a: PortedEdge, b: PortedEdge) -> tuple[Graph, Edge]:
     detail = ebridge_detail(a, b)
     assert detail.middle_edge is not None
     return detail.graph, detail.middle_edge
+
+
+class Operator(NamedTuple):
+    """``arity`` anchors of type ``anchor``, passed in order to ``detail``."""
+
+    anchor: type[PortedVertex] | type[PortedEdge]
+    arity: int
+    detail: Callable[..., BinaryDetail | TripleDetail]
+
+
+OPERATORS: dict[str, Operator] = {
+    "vsub": Operator(PortedVertex, 2, vsub_detail),
+    "ymerge3": Operator(PortedVertex, 3, ymerge3_detail),
+    "ymerge": Operator(PortedVertex, 1, ymerge_detail),
+    "esub": Operator(PortedEdge, 2, esub_detail),
+    "ebridge": Operator(PortedEdge, 2, ebridge_detail),
+}
 
 
 # ----------------------------------------------------------------------

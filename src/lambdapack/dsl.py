@@ -18,6 +18,7 @@ Grammar (EBNF)::
              | "e" INT ;                   (* k-th edge, 1-based, sorted order *)
     NAME     = letter-digit-underscore-dot sequence (no dash) ;
 
+Operator names, anchor kinds and anchor counts come from ``constructions.OPERATORS``.
 Lines are independent statements; ``#`` starts a comment.  Vertex anchors
 name the vertex to remove by its label; the optional bracket list fixes the
 port order (default: neighbors ascending by id).  Edge anchors are oriented:
@@ -88,14 +89,12 @@ class EdgeAnchor:
 @dataclass(frozen=True)
 class Call:
     op: str
-    args: tuple  # VertexAnchor or EdgeAnchor, arity per op
+    args: tuple  # VertexAnchor or EdgeAnchor, as many as the operator takes
 
 
 Expr = AtlasRef | PrismRef | BindingRef | Call
 
-_VERTEX_OPS = {"vsub": 2, "ymerge3": 3, "ymerge": 1}
-_EDGE_OPS = {"esub": 2, "ebridge": 2}
-_RESERVED = {"atlas", "prism", "let", *_VERTEX_OPS, *_EDGE_OPS}
+_RESERVED = {"atlas", "prism", "let", *cons.OPERATORS}
 
 
 # ----------------------------------------------------------------------
@@ -163,19 +162,16 @@ class _Parser:
             if not num.isdigit():
                 raise self.error(f"prism size must be an integer, got {num!r}")
             return PrismRef(int(num))
-        if op in _VERTEX_OPS:
-            args = [self.vertex_anchor()]
-            for _ in range(_VERTEX_OPS[op] - 1):
-                self.expect(",")
-                args.append(self.vertex_anchor())
-            return Call(op, tuple(args))
-        if op in _EDGE_OPS:
-            args = [self.edge_anchor()]
-            for _ in range(_EDGE_OPS[op] - 1):
-                self.expect(",")
-                args.append(self.edge_anchor())
-            return Call(op, tuple(args))
-        raise self.error(f"unknown operator {op!r}")
+        spec = cons.OPERATORS.get(op)
+        if spec is None:
+            raise self.error(f"unknown operator {op!r}")
+        vertex = spec.anchor is cons.PortedVertex
+        anchor = self.vertex_anchor if vertex else self.edge_anchor
+        args = [anchor()]
+        for _ in range(spec.arity - 1):
+            self.expect(",")
+            args.append(anchor())
+        return Call(op, tuple(args))
 
     def vertex_anchor(self) -> VertexAnchor:
         sub = self.expr()
@@ -266,25 +262,17 @@ class BuildRecord:
     detail: cons.BinaryDetail | cons.TripleDetail | None
 
 
-def _resolve_vertex_anchor(
-    anchor: VertexAnchor, env: dict[str, Graph], path: str
-) -> cons.PortedVertex:
+def _resolve_anchor(
+    anchor: VertexAnchor | EdgeAnchor, env: dict[str, Graph], path: str
+) -> cons.PortedVertex | cons.PortedEdge:
     g = _evaluate(anchor.expr, env, path + "/expr")
     try:
-        v = g.vertex_by_label(anchor.label)
-        if anchor.ports is None:
-            return cons.PortedVertex.default(g, v)
-        ports = tuple(g.vertex_by_label(p) for p in anchor.ports)
-        return cons.PortedVertex(g, v, ports)  # type: ignore[arg-type]
-    except GraphError as exc:
-        raise ResolveError(str(exc), path) from exc
-
-
-def _resolve_edge_anchor(
-    anchor: EdgeAnchor, env: dict[str, Graph], path: str
-) -> cons.PortedEdge:
-    g = _evaluate(anchor.expr, env, path + "/expr")
-    try:
+        if isinstance(anchor, VertexAnchor):
+            v = g.vertex_by_label(anchor.label)
+            if anchor.ports is None:
+                return cons.PortedVertex.default(g, v)
+            ports = tuple(g.vertex_by_label(p) for p in anchor.ports)
+            return cons.PortedVertex(g, v, ports)  # type: ignore[arg-type]
         if anchor.endpoints is not None:
             lu, lv = anchor.endpoints
             return cons.PortedEdge(g, g.vertex_by_label(lu), g.vertex_by_label(lv))
@@ -324,27 +312,12 @@ def _evaluate_record(
             return BuildRecord(name, node, cons.atlas(node.name), None, (), None)
         raise ResolveError(f"unknown name {node.name!r}", path)
     assert isinstance(node, Call)
+    anchors = tuple(
+        _resolve_anchor(a, env, f"{path}/{node.op}[{i}]")
+        for i, a in enumerate(node.args)
+    )
     try:
-        if node.op in _VERTEX_OPS:
-            anchors = tuple(
-                _resolve_vertex_anchor(a, env, f"{path}/{node.op}[{i}]")
-                for i, a in enumerate(node.args)
-            )
-            if node.op == "vsub":
-                detail = cons.vsub_detail(*anchors)
-            elif node.op == "ymerge3":
-                detail = cons.ymerge3_detail(*anchors)
-            else:
-                detail = cons.ymerge_detail(*anchors)
-        else:
-            anchors = tuple(
-                _resolve_edge_anchor(a, env, f"{path}/{node.op}[{i}]")
-                for i, a in enumerate(node.args)
-            )
-            if node.op == "esub":
-                detail = cons.esub_detail(*anchors)
-            else:
-                detail = cons.ebridge_detail(*anchors)
+        detail = cons.OPERATORS[node.op].detail(*anchors)
     except cons.ConstructionError as exc:
         raise ResolveError(str(exc), path) from exc
     return BuildRecord(name, node, detail.graph, node.op, anchors, detail)

@@ -104,15 +104,6 @@ class Graph:
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
     @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks; used by the exact solvers."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-    @cached_property
     def label_to_id(self) -> dict[str, int]:
         """Label -> id map.  Duplicated labels keep the smallest id."""
         out: dict[str, int] = {}
@@ -229,10 +220,6 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
                     stack.append(u)
         comps.append(frozenset(comp))
     return tuple(comps)
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
 
 
 def is_cubic(g: Graph) -> bool:

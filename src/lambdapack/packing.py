@@ -289,8 +289,6 @@ _Degrees = tuple[int, int]
 class _Engine:
     def __init__(self, problem: PackingProblem, budget: Budget):
         self.problem = problem
-        g = problem.graph
-        self.n = g.n
         self.adj = problem.usable_adj_masks()
         self.alive_mask = 0
         for v in problem.alive:
@@ -813,6 +811,9 @@ class ClauseResult:
     detail: str = ""
 
 
+_CLAUSES = ("z1", "z2", "z3", "z4", "z5", "t2", "f1", "f2")
+
+
 def residue_factor_clauses(
     g: Graph, budget: Budget | None = None
 ) -> dict[str, ClauseResult]:
@@ -837,7 +838,7 @@ def residue_factor_clauses(
         raise PackingError("predicate battery expects a cubic graph")
     budget = budget or Budget()
     residue = g.n % 6
-    out: dict[str, ClauseResult] = {}
+    out = dict.fromkeys(_CLAUSES, ClauseResult("n/a"))
     edges = g.sorted_edges()
     bit = {e: 1 << i for i, e in enumerate(edges)}
     # deleted vertices -> (factor, mask of its edges), every factor found so far
@@ -878,86 +879,46 @@ def residue_factor_clauses(
             )
         out[name] = ClauseResult("holds")
 
-    def factor_problem(**kw) -> PackingProblem:
-        return PackingProblem(g, Mode.FACTOR, **kw)
+    def q(what: str, **kw) -> tuple[PackingProblem, str]:
+        return PackingProblem(g, Mode.FACTOR, **kw), what
 
-    if residue == 0:
-        decide("z1", [(factor_problem(), "factor")])
-        decide(
-            "z2",
-            (
-                (factor_problem(forbidden_edges=frozenset({e})), f"avoid {e}")
-                for e in edges
-            ),
-        )
-        decide(
-            "z3",
-            (
-                (factor_problem(forced_edges=frozenset({e})), f"contain {e}")
-                for e in edges
-            ),
-        )
-        decide(
-            "z4",
-            (
-                (
-                    factor_problem(deleted_edges=frozenset({e1, e2})),
-                    f"minus edges {e1},{e2}",
-                )
+    # residue -> {clause: its queries in definition order}, built on demand
+    # for the graph's residue only; each clause's queries stay lazy
+    clauses = {
+        0: lambda: {
+            "z1": [q("factor")],
+            "z2": (q(f"avoid {e}", forbidden_edges=frozenset({e})) for e in edges),
+            "z3": (q(f"contain {e}", forced_edges=frozenset({e})) for e in edges),
+            "z4": (
+                q(f"minus edges {e1},{e2}", deleted_edges=frozenset({e1, e2}))
                 for i, e1 in enumerate(edges)
                 for e2 in edges[i + 1 :]
             ),
-        )
-        decide(
-            "z5",
-            (
-                (
-                    factor_problem(deleted_vertices=frozenset(p.vertices)),
-                    f"minus path {p.vertices}",
-                )
+            "z5": (
+                q(f"minus path {p.vertices}", deleted_vertices=frozenset(p.vertices))
                 for p in enumerate_paths(g)
             ),
-        )
-        for name in ("t2", "f1", "f2"):
-            out[name] = ClauseResult("n/a")
-    elif residue == 2:
-        decide(
-            "t2",
-            (
-                (
-                    factor_problem(deleted_vertices=frozenset(e)),
-                    f"minus endpoints of {e}",
-                )
+        },
+        2: lambda: {
+            "t2": (
+                q(f"minus endpoints of {e}", deleted_vertices=frozenset(e))
                 for e in edges
             ),
-        )
-        for name in ("z1", "z2", "z3", "z4", "z5", "f1", "f2"):
-            out[name] = ClauseResult("n/a")
-    elif residue == 4:
-        decide(
-            "f1",
-            (
-                (factor_problem(deleted_vertices=frozenset({x})), f"minus {x}")
-                for x in range(g.n)
-            ),
-        )
-        decide(
-            "f2",
-            (
-                (
-                    factor_problem(
-                        deleted_vertices=frozenset({x}),
-                        deleted_edges=frozenset({e}),
-                    ),
+        },
+        4: lambda: {
+            "f1": (q(f"minus {x}", deleted_vertices=frozenset({x})) for x in range(g.n)),
+            "f2": (
+                q(
                     f"minus {x} and {e}",
+                    deleted_vertices=frozenset({x}),
+                    deleted_edges=frozenset({e}),
                 )
                 for x in range(g.n)
                 for e in edges
             ),
-        )
-        for name in ("z1", "z2", "z3", "z4", "z5", "t2"):
-            out[name] = ClauseResult("n/a")
-    else:
-        for name in ("z1", "z2", "z3", "z4", "z5", "t2", "f1", "f2"):
-            out[name] = ClauseResult("n/a")
+        },
+    }
+    # a cubic graph has an even number of vertices: residue 0, 2 or 4
+    for name, queries in clauses[residue]().items():
+        decide(name, queries)
     return out

@@ -44,8 +44,6 @@ let F = esub(atlas(Q)@000-001, D@B.B.o5-B.A.A.000)
 let N = esub(K@z1-z2, F@A.001-B.B.A.A.000)
 """
 
-PIPELINE_ORDER = ("K", "R", "H", "D", "F", "N")
-
 EXPECTED_VERTEX_COUNTS = {
     "Q": 8,
     "S": 12,

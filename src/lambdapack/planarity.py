@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, GraphError, norm_edge
+from .graph import Edge, Graph, GraphError, components, norm_edge
 
 Rotation = tuple[tuple[int, ...], ...]
 
@@ -90,13 +90,11 @@ def verify_rotation_system(g: Graph, rotation: Rotation) -> bool:
             # next dart leaving v after arriving from u
             succ[(u, v)] = (v, ring[(pos[u] + 1) % len(ring)])
 
-    comp_of = _component_index(g)
-    n_comps = max(comp_of) + 1 if g.n else 0
-    verts = [0] * n_comps
-    edges = [0] * n_comps
-    faces = [0] * n_comps
-    for v in range(g.n):
-        verts[comp_of[v]] += 1
+    comps = components(g)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    verts = [len(comp) for comp in comps]
+    edges = [0] * len(comps)
+    faces = [0] * len(comps)
     for u, v in g.edges:
         edges[comp_of[u]] += 1
 
@@ -109,7 +107,7 @@ def verify_rotation_system(g: Graph, rotation: Rotation) -> bool:
         while cur not in seen:
             seen.add(cur)
             cur = succ[cur]
-    for c in range(n_comps):
+    for c in range(len(comps)):
         if edges[c] == 0:
             faces[c] = 1
         if verts[c] - edges[c] + faces[c] != 2:
@@ -188,21 +186,3 @@ def verify_kuratowski(g: Graph, edges: frozenset[Edge]) -> str:
             if sorted(color.values()).count(0) == 3:
                 return "K33"
     raise GraphError("obstruction core is neither K5 nor K3,3")
-
-
-def _component_index(g: Graph) -> list[int]:
-    comp = [-1] * g.n
-    c = 0
-    for root in range(g.n):
-        if comp[root] != -1:
-            continue
-        stack = [root]
-        comp[root] = c
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if comp[u] == -1:
-                    comp[u] = c
-                    stack.append(u)
-        c += 1
-    return comp

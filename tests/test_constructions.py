@@ -1,5 +1,6 @@
 """Composition operators: counts, ports, closure properties, determinism."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -27,7 +28,14 @@ from lambdapack.constructions import (
     ymerge3,
     ymerge3_detail,
 )
-from lambdapack.pipeline import EXPECTED_VERTEX_COUNTS, build_pipeline
+from lambdapack.certify import graph_hash
+from lambdapack.dsl import run_script
+from lambdapack.pipeline import (
+    DEFAULT_SCRIPT,
+    EXPECTED_VERTEX_COUNTS,
+    build_pipeline,
+    family_script,
+)
 from lambdapack.planarity import is_planar
 
 
@@ -207,6 +215,21 @@ def test_construction_determinism():
     b = build_pipeline().graph("N")
     assert a == b
     assert a.labels == b.labels
+
+
+#: SHA-256 over each record's graph hash and labels, for every statement of
+#: the default pipeline and of family members 0-9: any change to the ids,
+#: labels or edges an operator builds shows here
+SCRIPT_GRAPHS_SHA256 = "adab254bc0fee43edd52fb76e40de0217107f33965732dde1f234a5bf7bef331"
+
+
+def test_script_graphs_are_pinned():
+    digest = hashlib.sha256()
+    for script in (DEFAULT_SCRIPT, *map(family_script, range(10))):
+        for rec in run_script(script):
+            labels = " ".join(rec.graph.labels)
+            digest.update(f"{graph_hash(rec.graph)} {labels}\n".encode())
+    assert digest.hexdigest() == SCRIPT_GRAPHS_SHA256
 
 
 def test_prism_validation():

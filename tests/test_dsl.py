@@ -3,6 +3,7 @@
 import pytest
 
 from lambdapack import ParseError, atlas, build, parse_expr, run_script
+from lambdapack.constructions import OPERATORS, PortedVertex
 from lambdapack.dsl import (
     AtlasRef,
     BindingRef,
@@ -45,6 +46,14 @@ def test_malformed_input_reports_position():
         parse_expr("frobnicate(Q@a)")
     with pytest.raises(ParseError):
         parse_expr("atlas(Q) extra")
+    vertex, edge = "Q@000", "Q@000-001"
+    for op, spec in OPERATORS.items():
+        anchor = vertex if spec.anchor is PortedVertex else edge
+        with pytest.raises(ParseError):
+            parse_expr(f"{op}({', '.join([anchor] * (spec.arity - 1))})")
+    for text in (f"vsub({edge}, {vertex})", f"esub({vertex}, {edge})"):
+        with pytest.raises(ParseError):
+            parse_expr(text)
 
 
 def test_unknown_names_report_path():
@@ -69,9 +78,10 @@ def test_script_bindings_and_comments():
     assert records[1].graph.n == 16
 
 
-def test_script_rejects_reserved_binding():
+@pytest.mark.parametrize("name", ["atlas", *OPERATORS])
+def test_script_rejects_reserved_binding(name):
     with pytest.raises(ParseError):
-        parse_script("let atlas = atlas(Q)")
+        parse_script(f"let {name} = atlas(Q)")
 
 
 def test_default_script_builds_counterexample():
