@@ -47,8 +47,11 @@ BASE run, and packs everything into a :class:`Certificate`.
 hashes and premise linkage, and re-derives each rule step whole from its
 row: it rebuilds the composite from the stored operand graphs, derives the
 expected premises, conclusion, side conditions and (empty) evidence, and
-rejects the step on any difference.  BASE evidence is accepted as recorded
-unless ``strict=True`` re-runs the searches.
+rejects the step on any difference.  A BASE step is rebuilt the same way:
+from its recorded verdict and node count, or, under ``strict=True``, by
+re-running the search.  A certificate read from JSON must also be in its
+canonical form (the form ``certificate_to_dict`` writes), so the fact
+labels, which are read from the graph table, cannot disagree with it.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field
 from . import constructions as cons
 from .dsl import BuildRecord, run_script
 from .graph import Edge, Graph, GraphError, is_cubic, norm_edge
-from .packing import Budget, Mode, PackingProblem, PackingResult, solve
+from .packing import Budget, Mode, PackingError, PackingProblem, PackingResult, solve
 from .pipeline import DEFAULT_SCRIPT
 
 KIND_NO_FACTOR = "no_factor"
@@ -121,8 +124,6 @@ class Fact:
     n: int
     vertex: int | None = None
     edge: Edge | None = None
-    vertex_label: str = ""
-    edge_labels: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -148,6 +149,11 @@ class Fact:
         return self.n - (1 if self.vertex is not None else 0)
 
     def to_problem(self, g: Graph) -> PackingProblem:
+        """The FACTOR search that grounds this fact on g.
+
+        Raises CertificateError unless the fact is about g, its vertex and
+        edge are g's, and the live vertex count is divisible by 3.
+        """
         if graph_hash(g) != self.graph_hash:
             raise CertificateError("fact does not describe this graph")
         kw: dict = {}
@@ -156,27 +162,16 @@ class Fact:
         edge_field = _KINDS[self.kind][1]
         if edge_field is not None:
             kw[edge_field] = frozenset({self.edge})
-        return PackingProblem(g, Mode.FACTOR, **kw)
+        try:
+            return PackingProblem(g, Mode.FACTOR, **kw)
+        except (GraphError, PackingError) as exc:
+            raise CertificateError(f"fact is no FACTOR search on its graph: {exc}") from exc
 
 
 def make_fact(
     g: Graph, kind: str, vertex: int | None = None, edge: Edge | None = None
 ) -> Fact:
-    if edge is not None:
-        edge = norm_edge(*edge)
-        if edge not in g.edges:
-            raise CertificateError(f"fact edge {edge} not in graph")
-    if vertex is not None:
-        g.check_vertex(vertex)
-    return Fact(
-        kind,
-        graph_hash(g),
-        g.n,
-        vertex,
-        edge,
-        g.labels[vertex] if vertex is not None else "",
-        (g.labels[edge[0]], g.labels[edge[1]]) if edge is not None else None,
-    )
+    return Fact(kind, graph_hash(g), g.n, vertex, edge and norm_edge(*edge))
 
 
 @dataclass(frozen=True)
@@ -409,19 +404,19 @@ def verify_base(
 
     Returns a BASE step whose evidence verdict is UNSAT (verified) or
     INDETERMINATE (budget ran out).  Raises FactRefuted when the search
-    finds a factor, which falsifies the fact.
+    finds a factor, which falsifies the fact, and CertificateError when the
+    fact is no FACTOR search on g.
     """
-    if fact.residual_size() % 3 != 0:
-        raise CertificateError(
-            f"fact residual size {fact.residual_size()} is not divisible by 3"
-        )
-    problem = fact.to_problem(g)
-    result = solve(problem, budget or Budget())
+    result = solve(fact.to_problem(g), budget or Budget())
     if result.verdict == "SAT":
         raise FactRefuted(fact, result)
-    evidence = {"verdict": result.verdict, "nodes": result.stats.nodes}
+    return _base_step(fact, step_id, result.verdict, result.stats.nodes)
+
+
+def _base_step(fact: Fact, step_id: str, verdict: str, nodes: int) -> CertStep:
+    """The BASE step for a search on ``fact`` that ended so."""
     side = {"problem": _problem_payload(fact)}
-    return CertStep(step_id, "BASE", (), fact, side, evidence)
+    return CertStep(step_id, "BASE", (), fact, side, {"verdict": verdict, "nodes": nodes})
 
 
 def _problem_payload(fact: Fact) -> dict:
@@ -535,6 +530,8 @@ def replay_pipeline(
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
+    """The JSON form; fact labels are read from the graph table."""
+
     def fact_payload(f: Fact) -> dict:
         out: dict = {
             "kind": f.kind,
@@ -544,10 +541,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
         }
         if f.vertex is not None:
             out["vertex"] = f.vertex
-            out["vertexLabel"] = f.vertex_label
+            out["vertexLabel"] = cert.graphs[f.graph_hash].labels[f.vertex]
         if f.edge is not None:
             out["edge"] = list(f.edge)
-            out["edgeLabels"] = list(f.edge_labels or ())
+            out["edgeLabels"] = [cert.graphs[f.graph_hash].labels[v] for v in f.edge]
         return out
 
     return {
@@ -582,21 +579,8 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def _fact_from_payload(data: dict) -> Fact:
-    edge = tuple(data["edge"]) if "edge" in data else None
-    fact = Fact(
-        data["kind"],
-        data["graph"],
-        data["n"],
-        data.get("vertex"),
-        norm_edge(*edge) if edge else None,
-        data.get("vertexLabel", ""),
-        tuple(data.get("edgeLabels", ())) or None if edge else None,
-    )
-    if "residue" in data and data["residue"] != fact.residue:
-        raise CertificateError(
-            f"fact residue {data['residue']} does not match n={fact.n}"
-        )
-    return fact
+    edge = norm_edge(*data["edge"]) if "edge" in data else None
+    return Fact(data["kind"], data["graph"], data["n"], data.get("vertex"), edge)
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -647,17 +631,22 @@ def check_certificate_detailed(
 ) -> list[str]:
     """All problems found while re-validating; empty list means valid.
 
-    Non-strict checking re-derives every rule step whole from its row of
-    :data:`RULES` (rebuilding the composite from the stored operand graphs)
-    and validates BASE problem encodings, but accepts recorded UNSAT
-    evidence.  ``strict=True`` re-runs every BASE search.
+    Every step is rebuilt and compared whole: a rule step from its row of
+    :data:`RULES` (rebuilding the composite from the stored operand graphs),
+    a BASE step from its recorded verdict and node count.  ``strict=True``
+    rebuilds each UNSAT BASE step by re-running its search instead.  A dict
+    or JSON text must be in canonical form: the same JSON, up to key order
+    and white space, as ``certificate_to_dict`` writes back for it.
     """
     try:
-        if isinstance(cert, str):
-            cert = certificate_from_json(cert)
-        elif isinstance(cert, dict):
-            cert = certificate_from_dict(cert)
-    except (CertificateError, GraphError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(cert, (str, dict)):
+            data = json.loads(cert) if isinstance(cert, str) else cert
+            cert = certificate_from_dict(data)
+            # compared as JSON text, so 72.0 for 72 or true for 1 also shows
+            written = json.dumps(certificate_to_dict(cert), sort_keys=True)
+            if written != json.dumps(data, sort_keys=True):
+                return ["certificate is not in canonical form"]
+    except (CertificateError, GraphError, LookupError, TypeError, ValueError) as exc:
         return [f"malformed certificate: {exc}"]
 
     problems: list[str] = []
@@ -670,25 +659,14 @@ def check_certificate_detailed(
     concluded: dict[str, Fact] = {}
     for step in cert.steps:
         where = f"step {step.step_id}"
-        for pid in step.premises:
-            if pid not in concluded:
-                problems.append(f"{where}: dangling premise {pid}")
-        fact = step.conclusion
-        if fact.graph_hash not in cert.graphs:
+        if step.conclusion.graph_hash not in cert.graphs:
             problems.append(f"{where}: conclusion graph missing from table")
             continue
-        subject = cert.graphs[fact.graph_hash]
-        if fact.n != subject.n:
-            problems.append(f"{where}: conclusion vertex count mismatch")
-            continue
-        if any(pid not in concluded for pid in step.premises):
-            continue
-        premise_facts = [concluded[pid] for pid in step.premises]
         try:
             if step.rule == "BASE":
                 _check_base_step(cert, step, strict)
             else:
-                _check_rule_step(cert, step, premise_facts)
+                _check_rule_step(cert, step, concluded)
         except (CertificateError, GraphError, FactRefuted) as exc:
             problems.append(f"{where}: {exc}")
             continue
@@ -698,7 +676,7 @@ def check_certificate_detailed(
         if step.rule == "BASE" and step.evidence.get("verdict") != "UNSAT":
             # a recorded search attempt that ran out of budget grounds nothing
             continue
-        concluded[step.step_id] = fact
+        concluded[step.step_id] = step.conclusion
 
     known = set(concluded.values())
     for fact in cert.final_facts:
@@ -710,12 +688,9 @@ def check_certificate_detailed(
 
 
 def _check_base_step(cert: Certificate, step: CertStep, strict: bool) -> None:
+    """Rebuild the BASE step from its evidence (or its search) and compare."""
     fact = step.conclusion
     subject = cert.graphs[fact.graph_hash]
-    if step.premises:
-        raise CertificateError("BASE steps take no premises")
-    if step.side_conditions != {"problem": _problem_payload(fact)}:
-        raise CertificateError("BASE problem encoding does not match the fact")
     evidence = step.evidence
     nodes = evidence.get("nodes")
     if set(evidence) != {"verdict", "nodes"} or type(nodes) is not int or nodes < 0:
@@ -723,41 +698,37 @@ def _check_base_step(cert: Certificate, step: CertStep, strict: bool) -> None:
     verdict = evidence["verdict"]
     if verdict not in ("UNSAT", "INDETERMINATE"):
         raise CertificateError(f"BASE evidence verdict {verdict!r} is not probative")
+    claim = make_fact(subject, fact.kind, fact.vertex, fact.edge)
     if strict and verdict == "UNSAT":
-        result = solve(fact.to_problem(subject))
-        if result.verdict == "SAT":
-            raise FactRefuted(fact, result)
-        if result.verdict != "UNSAT":
-            raise CertificateError("strict BASE re-run did not finish")
-        if result.stats.nodes != nodes:
-            raise CertificateError(
-                f"BASE evidence records {nodes} nodes, the re-run took "
-                f"{result.stats.nodes}"
-            )
+        want = verify_base(claim, subject, step.step_id)
+    else:
+        claim.to_problem(subject)  # a search verify_base would accept
+        want = _base_step(claim, step.step_id, verdict, nodes)
+    _compare(step, want)
 
 
 def _check_rule_step(
-    cert: Certificate, step: CertStep, premises: list[Fact]
+    cert: Certificate, step: CertStep, concluded: dict[str, Fact]
 ) -> None:
     """Re-derive the step from its rule row and reject any difference."""
     rule = _RULES_BY_NAME.get(step.rule)
     if rule is None:
         raise CertificateError(f"unknown rule {step.rule!r}")
-    side = step.side_conditions
     anchors = tuple(
-        _anchor_from_payload(cert, rule.op, side[key])
+        _anchor_from_payload(cert, rule.op, step.side_conditions[key])
         for key in "ab"[: len(rule.residues)]
     )
     listed = _FactStore()
-    for pid, fact in zip(step.premises, premises):
-        listed.add(fact, pid)
+    for pid in step.premises:
+        if pid in concluded:
+            listed.add(concluded[pid], pid)
     detail = cons.OPERATORS[rule.op].detail(*anchors)
-    want = _derive(rule, anchors, detail, listed, step.step_id)
-    for what, got, expected in (
-        ("premises", step.premises, want.premises),
-        ("conclusion", step.conclusion, want.conclusion),
-        ("side conditions", side, want.side_conditions),
-        ("evidence", step.evidence, want.evidence),
-    ):
-        if got != expected:
-            raise CertificateError(f"{step.rule} step does not match its rebuilt {what}")
+    _compare(step, _derive(rule, anchors, detail, listed, step.step_id))
+
+
+def _compare(step: CertStep, want: CertStep) -> None:
+    for what in ("premises", "conclusion", "side_conditions", "evidence"):
+        if getattr(step, what) != getattr(want, what):
+            raise CertificateError(
+                f"{step.rule} step does not match its rebuilt {what.replace('_', ' ')}"
+            )

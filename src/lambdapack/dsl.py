@@ -312,12 +312,22 @@ def _evaluate_record(
             return BuildRecord(name, node, cons.atlas(node.name), None, (), None)
         raise ResolveError(f"unknown name {node.name!r}", path)
     assert isinstance(node, Call)
+    # a parsed Call is checked against OPERATORS already; a hand-built one is not
+    spec = cons.OPERATORS.get(node.op)
+    if spec is None:
+        raise ResolveError(f"unknown operator {node.op!r}", path)
+    if len(node.args) != spec.arity:
+        raise ResolveError(
+            f"{node.op} takes {spec.arity} anchors, got {len(node.args)}", path
+        )
     anchors = tuple(
         _resolve_anchor(a, env, f"{path}/{node.op}[{i}]")
         for i, a in enumerate(node.args)
     )
+    if not all(isinstance(a, spec.anchor) for a in anchors):
+        raise ResolveError(f"{node.op} takes {spec.anchor.__name__} anchors", path)
     try:
-        detail = cons.OPERATORS[node.op].detail(*anchors)
+        detail = spec.detail(*anchors)
     except cons.ConstructionError as exc:
         raise ResolveError(str(exc), path) from exc
     return BuildRecord(name, node, detail.graph, node.op, anchors, detail)

@@ -18,7 +18,9 @@ The pipeline builds, in order:
 All anchors are fixed here so certificates are reproducible: the cube edge
 is its lexicographically smallest edge, the K ports place z2 first (so the
 marked edge of K is z itself), and the prism anchor is o0 with ports in
-ascending id order.
+ascending id order.  The distinguished vertices and edges named above are
+where the next stage attaches, so ``PipelineGraphs`` reads them off the
+build records rather than off label literals.
 
 ``find_seams`` recovers every matching cut of size 2 or 3 that the
 composition operators left behind (readable off the label prefixes), as
@@ -33,16 +35,32 @@ from dataclasses import dataclass
 
 from .constructions import side_vertices
 from .dsl import BuildRecord, run_script
-from .graph import Edge, Graph
+from .graph import Edge, Graph, edge_cut
 
-DEFAULT_SCRIPT = """\
-let K = ebridge(atlas(Q)@000-001, atlas(Q)@000-001)
-let R = ymerge(K@z1[z2,A.000,B.000])
-let H = vsub(K@z1[z2,A.000,B.000], atlas(S)@o0[o1,o5,i0])
-let D = esub(K@z1-z2, H@A.B.000-B.i0)
-let F = esub(atlas(Q)@000-001, D@B.B.o5-B.A.A.000)
-let N = esub(K@z1-z2, F@A.001-B.B.A.A.000)
-"""
+
+def family_script(member: int) -> str:
+    """Pipeline script for the member-th counterexample (member 0 = default).
+
+    Member t substitutes the prism over a (6 + 6t)-cycle for the six-prism;
+    all residue side conditions are unchanged, so the certificate chain
+    replays verbatim and the final graph has 72 + 12t vertices.  The prism
+    anchor keeps ports in ascending id order (o1, o{m-1}, i0).
+    """
+    if member < 0:
+        raise ValueError("family member index must be >= 0")
+    m = 6 + 6 * member
+    hi = f"o{m - 1}"
+    return (
+        "let K = ebridge(atlas(Q)@000-001, atlas(Q)@000-001)\n"
+        "let R = ymerge(K@z1[z2,A.000,B.000])\n"
+        f"let H = vsub(K@z1[z2,A.000,B.000], prism({m})@o0[o1,{hi},i0])\n"
+        "let D = esub(K@z1-z2, H@A.B.000-B.i0)\n"
+        f"let F = esub(atlas(Q)@000-001, D@B.B.{hi}-B.A.A.000)\n"
+        "let N = esub(K@z1-z2, F@A.001-B.B.A.A.000)\n"
+    )
+
+
+DEFAULT_SCRIPT = family_script(0)
 
 EXPECTED_VERTEX_COUNTS = {
     "Q": 8,
@@ -70,20 +88,24 @@ class PipelineGraphs:
         return self.records[name].graph
 
     def middle_edge_of_k(self) -> Edge:
-        k = self.graph("K")
-        return k.edge_by_labels("z1", "z2")
+        return self.records["K"].detail.middle_edge
 
     def marked_vertex_of_h(self) -> int:
-        return self.graph("H").vertex_by_label("B.o5")
+        """The image in H of the prism anchor's second port."""
+        rec = self.records["H"]
+        return rec.detail.map_b[rec.anchors[1].ports[1]]
 
     def marked_edge_of_h(self) -> Edge:
-        return self.graph("H").edge_by_labels("A.B.000", "B.i0")
+        """The edge of H that D substitutes at."""
+        return self.records["D"].anchors[1].edge
 
     def marked_vertex_of_d(self) -> int:
-        return self.graph("D").vertex_by_label("B.B.o5")
+        """The vertex of D that F's anchor edge starts from."""
+        return self.records["F"].anchors[1].e1
 
     def marked_edge_of_f(self) -> Edge:
-        return self.graph("F").edge_by_labels("A.001", "B.B.A.A.000")
+        """The edge of F that N substitutes at."""
+        return self.records["N"].anchors[1].edge
 
 
 def build_pipeline(script: str = DEFAULT_SCRIPT) -> PipelineGraphs:
@@ -125,7 +147,7 @@ def find_seams(g: Graph) -> tuple[Seam, ...]:
         side = side_vertices(g, prefix)
         if not side or len(side) == g.n:
             continue
-        cut = frozenset(e for e in g.edges if (e[0] in side) != (e[1] in side))
+        cut = edge_cut(g, side).cut_edges
         if not (2 <= len(cut) <= 3) or cut in seen_cuts:
             continue
         ends = [v for e in cut for v in e]
@@ -134,29 +156,6 @@ def find_seams(g: Graph) -> tuple[Seam, ...]:
         seen_cuts.add(cut)
         seams.append(Seam(side))
     return tuple(seams)
-
-
-def family_script(member: int) -> str:
-    """Pipeline script for the member-th counterexample (member 0 = default).
-
-    Member t substitutes the prism over a (6 + 6t)-cycle for the six-prism;
-    all residue side conditions are unchanged, so the certificate chain
-    replays verbatim and the final graph has 72 + 12t vertices.  The prism
-    anchor keeps ports in ascending id order (o1, o{m-1}, i0), which for
-    m = 6 is exactly the default pipeline.
-    """
-    if member < 0:
-        raise ValueError("family member index must be >= 0")
-    m = 6 + 6 * member
-    hi = f"o{m - 1}"
-    return (
-        "let K = ebridge(atlas(Q)@000-001, atlas(Q)@000-001)\n"
-        "let R = ymerge(K@z1[z2,A.000,B.000])\n"
-        f"let H = vsub(K@z1[z2,A.000,B.000], prism({m})@o0[o1,{hi},i0])\n"
-        "let D = esub(K@z1-z2, H@A.B.000-B.i0)\n"
-        f"let F = esub(atlas(Q)@000-001, D@B.B.{hi}-B.A.A.000)\n"
-        "let N = esub(K@z1-z2, F@A.001-B.B.A.A.000)\n"
-    )
 
 
 def family(member: int) -> PipelineGraphs:

@@ -7,10 +7,10 @@ re-counts faces and checks Euler's formula per component, and
 ``verify_kuratowski`` suppresses degree-2 vertices and matches the core
 graph against K5/K3,3 from scratch.
 
-The verdict itself is delegated to networkx's left-right planarity test;
-the obstruction is then re-minimized here by a single edge-deletion pass so
-that the returned edge set is exactly a Kuratowski subdivision even if the
-library ever returned a larger non-planar subgraph.
+The verdict itself is delegated to networkx's left-right planarity test.
+Its counterexample is already edge-minimal (networkx deletes edges one at a
+time while the rest stays non-planar), so it is returned as it is;
+``verify_kuratowski`` is what vouches for it.
 """
 
 from __future__ import annotations
@@ -29,45 +29,22 @@ class PlanarityReport:
     obstruction: frozenset[Edge] | None
 
 
-def _check_planarity(g: Graph, edges=None, counterexample: bool = False):
-    """networkx's planarity test on ``g`` or on its subgraph ``edges``.
-
-    networkx is imported here, on first use, because it takes most of the
-    package's import time and only planarity needs it.
-    """
+def is_planar(g: Graph) -> PlanarityReport:
+    """Planarity with witness: rotation system if planar, else a Kuratowski subdivision."""
+    # networkx is imported here, on first use, because it takes most of the
+    # package's import time and only planarity needs it
     import networkx as nx
 
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(sorted(g.edges if edges is None else edges))
-    return nx.check_planarity(h, counterexample=counterexample)
-
-
-def is_planar(g: Graph) -> PlanarityReport:
-    """Planarity with witness: rotation system if planar, else a Kuratowski subdivision."""
-    ok, cert = _check_planarity(g, counterexample=True)
+    h.add_edges_from(sorted(g.edges))
+    ok, cert = nx.check_planarity(h, counterexample=True)
     if ok:
         data = cert.get_data()
         rotation = tuple(tuple(data.get(v, [])) for v in range(g.n))
         return PlanarityReport(True, rotation, None)
     bad = frozenset(norm_edge(u, v) for u, v in cert.edges())
-    return PlanarityReport(False, None, _minimize_nonplanar(g, bad))
-
-
-def _minimize_nonplanar(g: Graph, edges: frozenset[Edge]) -> frozenset[Edge]:
-    """Shrink a non-planar edge set to an edge-minimal one.
-
-    Planarity is subgraph-monotone, so one pass suffices: after each kept
-    edge was tested against a superset of the final set, deleting it from
-    the final set would leave a planar graph.  An edge-minimal non-planar
-    graph is exactly a Kuratowski subdivision plus isolated vertices.
-    """
-    current = set(edges)
-    for e in sorted(edges):
-        trial = current - {e}
-        if not _check_planarity(g, trial)[0]:
-            current = trial
-    return frozenset(current)
+    return PlanarityReport(False, None, bad)
 
 
 def verify_rotation_system(g: Graph, rotation: Rotation) -> bool:

@@ -158,15 +158,21 @@ def test_verify_base_residue_guard():
 
 
 def test_fact_parameters_resolve_in_subject(default_cert):
-    for step in default_cert.steps:
+    data = certificate_to_dict(default_cert)
+    for step, payload in zip(default_cert.steps, data["steps"]):
         fact = step.conclusion
+        conclusion = payload["conclusion"]
         g = default_cert.graphs[fact.graph_hash]
+        labels = data["graphs"][fact.graph_hash]["labels"]
         if fact.vertex is not None:
             assert 0 <= fact.vertex < g.n
-            assert g.labels[fact.vertex] == fact.vertex_label
+            assert conclusion["vertexLabel"] == labels[fact.vertex]
+            assert g.vertex_by_label(conclusion["vertexLabel"]) == fact.vertex
         if fact.edge is not None:
             assert fact.edge in g.edges
-        assert fact.residue == fact.n % 6
+            assert conclusion["edgeLabels"] == [labels[v] for v in fact.edge]
+            assert g.edge_by_labels(*conclusion["edgeLabels"]) == fact.edge
+        assert fact.residue == fact.n % 6 == conclusion["residue"]
 
 
 def test_graph_hash_is_stable_and_label_free():
@@ -320,3 +326,109 @@ def test_base_step_mutation_is_rejected(default_cert, mutation):
     step["evidence"] = change(step["evidence"])
     assert check_certificate(data) is not plain_catches
     assert not check_certificate(data, strict=True)
+
+
+def _forge_base_label(data: dict) -> None:
+    step = next(
+        s for s in data["steps"] if s["rule"] == "BASE" and "vertex" in s["conclusion"]
+    )
+    step["conclusion"]["vertexLabel"] = "NOT.A.LABEL"
+    data["finalFacts"].append(step["conclusion"])
+
+
+def _forge_edge_labels(data: dict) -> None:
+    fact = next(f for f in data["finalFacts"] if "edge" not in f)
+    fact["edgeLabels"] = ["A.000", "B.000"]
+
+
+def _forge_extra_key(data: dict) -> None:
+    data["finalFacts"][-1]["extra"] = 1
+
+
+def _forge_float_count(data: dict) -> None:
+    data["finalFacts"][-1]["n"] = float(data["finalFacts"][-1]["n"])
+
+
+#: payloads that describe a valid chain but are not what the certifier
+#: writes: every label is read from the graph table, every key is known
+FORGED_PAYLOADS = {
+    "BASE conclusion with a foreign vertex label, cited as final": _forge_base_label,
+    "edge labels on a final fact without an edge": _forge_edge_labels,
+    "extra key in a final fact": _forge_extra_key,
+    "vertex count written as a float": _forge_float_count,
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGED_PAYLOADS))
+def test_forged_fact_payload_is_rejected(default_cert, forgery):
+    data = json.loads(certificate_to_json(default_cert))
+    FORGED_PAYLOADS[forgery](data)
+    assert not check_certificate(data)
+    assert not check_certificate(data, strict=True)
+    assert not check_certificate(json.dumps(data))
+
+
+def _base_step_with_vertex(data: dict) -> dict:
+    return next(
+        s for s in data["steps"] if s["rule"] == "BASE" and "vertex" in s["conclusion"]
+    )
+
+
+def _shift_n(step: dict) -> None:
+    # same residue, so only the rebuilt conclusion can tell
+    step["conclusion"]["n"] += 6
+
+
+def _move_deleted_vertex(step: dict) -> None:
+    problem = step["sideConditions"]["problem"]
+    problem["deleted_vertices"] = [problem["deleted_vertices"][0] + 1]
+
+
+#: edits of a BASE step besides its evidence; each makes the step differ
+#: from the one its own conclusion and evidence rebuild
+BASE_STEP_MUTATIONS = {
+    "premise cited": lambda step: step["premises"].append("s1"),
+    "vertex count": _shift_n,
+    "problem encoding": _move_deleted_vertex,
+    "problem mode": lambda step: step["sideConditions"]["problem"].update(mode="MAX"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BASE_STEP_MUTATIONS))
+def test_base_step_rebuild_mismatch_is_rejected(default_cert, mutation):
+    data = json.loads(certificate_to_json(default_cert))
+    BASE_STEP_MUTATIONS[mutation](_base_step_with_vertex(data))
+    assert not check_certificate(data)
+    assert not check_certificate(data, strict=True)
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_deep_replay_grounds_every_rule_fact(member):
+    cert = replay_pipeline(family_script(member), deep=True)
+    rule_facts = [s.conclusion for s in cert.steps if s.rule != "BASE"]
+    grounded = {
+        s.conclusion for s in cert.steps
+        if s.rule == "BASE" and s.evidence["verdict"] == "UNSAT"
+    }
+    assert len(rule_facts) == 6
+    assert set(rule_facts) <= grounded
+    assert check_certificate(cert, strict=True)
+    assert check_certificate(certificate_to_json(cert), strict=True)
+
+
+@pytest.mark.parametrize("member", range(4))
+def test_pipeline_accessors_name_the_certified_facts(member):
+    cert = replay_pipeline(family_script(member))
+    facts = {
+        cert.graph_names[s.conclusion.graph_hash]: s.conclusion
+        for s in cert.steps
+        if s.rule != "BASE"
+    }
+    pipe = family(member)
+    assert facts["K"].edge == pipe.middle_edge_of_k()
+    assert facts["H"].vertex == pipe.marked_vertex_of_h()
+    assert facts["H"].edge == pipe.marked_edge_of_h()
+    assert facts["D"].vertex == pipe.marked_vertex_of_d()
+    assert facts["F"].edge == pipe.marked_edge_of_f()
+    for name in facts:
+        assert facts[name].graph_hash == graph_hash(pipe.graph(name))

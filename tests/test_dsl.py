@@ -8,7 +8,9 @@ from lambdapack.dsl import (
     AtlasRef,
     BindingRef,
     Call,
+    EdgeAnchor,
     ResolveError,
+    VertexAnchor,
     parse_script,
 )
 from lambdapack.pipeline import DEFAULT_SCRIPT
@@ -64,6 +66,28 @@ def test_unknown_names_report_path():
         build("atlas(Nope)")
     with pytest.raises(ResolveError):
         build("SomeBinding")
+
+
+def test_hand_built_call_with_unknown_operator_reports_path():
+    with pytest.raises(ResolveError) as err:
+        build(Call("nosuch", ()))
+    assert err.value.path == "$"
+    assert "nosuch" in str(err.value)
+
+
+def test_hand_built_call_with_wrong_anchor_count_reports_path():
+    cube_edge = EdgeAnchor(AtlasRef("Q"), ("000", "001"), None)
+    with pytest.raises(ResolveError) as err:
+        build(Call("esub", (cube_edge,)))
+    assert err.value.path == "$"
+    assert "2 anchors" in str(err.value)
+
+
+def test_hand_built_call_with_wrong_anchor_kind_reports_path():
+    cube_vertex = VertexAnchor(AtlasRef("Q"), "000", None)
+    with pytest.raises(ResolveError) as err:
+        build(Call("esub", (cube_vertex, cube_vertex)))
+    assert err.value.path == "$"
 
 
 def test_script_bindings_and_comments():

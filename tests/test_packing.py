@@ -1,6 +1,8 @@
 """Solver behavior: enumeration, both modes, constraints, budgets, witnesses."""
 
 import ast
+import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from lambdapack import (
     PackingProblem,
     atlas,
     check_packing,
+    enumerate_factors,
     enumerate_paths,
     solve,
 )
@@ -316,3 +319,65 @@ def test_strict_packing_deficit_iff_no_factor():
         value = solve(PackingProblem(g, Mode.MAX)).value
         factor = solve(PackingProblem(g, Mode.FACTOR)).verdict
         assert (value < g.n // 3) == (factor == "UNSAT")
+
+
+def _brute_force_factors(problem: PackingProblem) -> set[frozenset[LambdaPath]]:
+    """Every factor, as a subset of disjoint usable paths covering the live vertices."""
+    g = problem.graph
+    live = problem.alive
+    banned = problem.deleted_edges | problem.forbidden_edges
+    paths = [
+        LambdaPath.of(a, v, b)
+        for v in sorted(live)
+        for a, b in itertools.combinations(g.adj[v], 2)
+        if a in live and b in live
+        and (min(a, v), max(a, v)) not in banned
+        and (min(b, v), max(b, v)) not in banned
+    ]
+    factors = set()
+
+    def extend(start: int, covered: frozenset, chosen: tuple) -> None:
+        if len(covered) == len(live):
+            if problem.forced_edges <= {e for p in chosen for e in p.edges}:
+                factors.add(frozenset(chosen))
+            return
+        for i in range(start, len(paths)):
+            if covered.isdisjoint(paths[i].vertices):
+                extend(i + 1, covered.union(paths[i].vertices), chosen + (paths[i],))
+
+    extend(0, frozenset(), ())
+    return factors
+
+
+def _constrained_problems():
+    s = atlas("S")
+    yield PackingProblem(s)
+    yield PackingProblem(s, forced_edges=frozenset({(0, 1)}))
+    yield PackingProblem(s, forbidden_edges=frozenset({(0, 1)}))
+    yield PackingProblem(s, deleted_edges=frozenset({(0, 1), (6, 7)}))
+    yield PackingProblem(s, deleted_vertices=frozenset({0, 1, 2}))
+    yield PackingProblem(atlas("Q"), deleted_vertices=frozenset({0, 7}))
+    yield PackingProblem(atlas("K33"), forced_edges=frozenset({min(atlas("K33").edges)}))
+    rng = random.Random(11)
+    for seed in range(12):
+        g = sample_cubic(12, seed) if seed % 2 else sample_subcubic(9, seed)
+        edges = g.sorted_edges()
+        picked = rng.sample(edges, 3)
+        kw = {
+            "forced_edges": frozenset(picked[:1]),
+            "forbidden_edges": frozenset(picked[1:2]),
+            "deleted_edges": frozenset(picked[2:]),
+        }
+        if seed % 4 == 3:
+            kw["deleted_vertices"] = frozenset(rng.sample(range(g.n), 3))
+        yield PackingProblem(g, **kw)
+
+
+def test_enumerate_factors_finds_every_factor():
+    seen = 0
+    for problem in _constrained_problems():
+        found = list(enumerate_factors(problem))
+        assert len(set(map(frozenset, found))) == len(found), problem
+        assert set(map(frozenset, found)) == _brute_force_factors(problem), problem
+        seen += len(found)
+    assert seen > 0
