@@ -584,8 +584,12 @@ def _fact_from_payload(data: dict) -> Fact:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    if not isinstance(data, dict):
+        raise CertificateError("certificate is not a JSON object")
     if data.get("format") != "lambdapack-certificate/1":
         raise CertificateError("unknown certificate format")
+    if not isinstance(data.get("graphs"), dict):
+        raise CertificateError("graph table is not a JSON object")
     graphs: dict[str, Graph] = {}
     names: dict[str, str] = {}
     for h, payload in data["graphs"].items():

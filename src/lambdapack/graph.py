@@ -12,14 +12,15 @@ in :mod:`lambdapack.planarity`.  Every checker that can fail returns a
 witness that tests re-verify independently: a 2-coloring for bipartiteness,
 a separating vertex set for connectivity.
 
-Connectivity is decided by exhaustive separator search over all vertex
-subsets of size < k.  That is quadratic-ish in n but trivially auditable,
-which matters more than speed at the scales handled here (n <= 100).
+Connectivity is decided from the components for k = 1 and by depth-first
+low-link passes that find cut vertices for k = 2 and 3: one pass for k = 2,
+O(n + m), and one per removed vertex for k = 3, O(n (n + m)).  The witness
+is the same set an exhaustive search over separators in lexicographic order
+would find first.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -250,35 +251,83 @@ def connectivity_at_least(
 ) -> tuple[bool, frozenset[int] | None]:
     """Decide whether no vertex set of size < k disconnects g.
 
-    Exhaustive over all candidate separators (sizes 0..k-1).  On failure the
-    returned witness is a separating set; removing it leaves >= 2 components,
-    which callers can re-check with :func:`components`.
+    A set disconnects g when removing it leaves at least two vertices in at
+    least two components.  On failure the witness is the lexicographically
+    first smallest such set: the first of size 0, then 1, then 2, in the
+    order of ``itertools.combinations(range(g.n), size)``.  Callers can
+    re-check it with :func:`components`.
+
+    k = 1 reads the components; k = 2 is one depth-first low-link pass for
+    cut vertices (Hopcroft and Tarjan, "Efficient algorithms for graph
+    manipulation", CACM 1973), O(n + m); k = 3 repeats that pass on g less
+    each vertex in turn, O(n (n + m)).
     """
     if k not in (1, 2, 3):
         raise GraphError(f"connectivity check supports k in 1..3, got {k}")
     if k == 3 and g.n < 4:
         raise GraphError(f"3-connectivity requires n >= 4, got n={g.n}")
-    for size in range(k):
-        for sep in itertools.combinations(range(g.n), size):
-            if _disconnects(g, frozenset(sep)):
-                return False, frozenset(sep)
+    if len(components(g)) > 1:
+        return False, frozenset()
+    if k == 1:
+        return True, None
+    cut = _cut_vertices(g)
+    if cut:
+        return False, frozenset(cut[:1])
+    if k == 3:
+        # g is 2-connected here, so {a, b} separates exactly when b is a cut
+        # vertex of g - a; no b < a qualifies, or the pass for b had found a
+        for a in range(g.n):
+            cut = _cut_vertices(g, a)
+            if cut:
+                return False, frozenset({a, cut[0]})
     return True, None
 
 
-def _disconnects(g: Graph, removed: frozenset[int]) -> bool:
-    """True when g minus ``removed`` has >= 2 connected components."""
-    remaining = [v for v in range(g.n) if v not in removed]
-    if len(remaining) <= 1:
-        return False
-    seen = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u not in removed and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) < len(remaining)
+def _cut_vertices(g: Graph, removed: int | None = None) -> list[int]:
+    """Cut vertices of g, or of g minus ``removed``, ascending.
+
+    One depth-first pass on an explicit stack, so long paths cannot exhaust
+    the interpreter's recursion limit.  ``low[v]`` is the smallest discovery
+    time reachable from v's subtree by one back edge; a non-root v is a cut
+    vertex when some child c has ``low[c] >= disc[v]``, a root when it has
+    two or more children.
+    """
+    adj = g.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    cut: set[int] = set()
+    clock = 0
+    for root in range(g.n):
+        if disc[root] >= 0 or root == removed:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for u in it:
+                if u == removed or u == parent:
+                    continue
+                if disc[u] < 0:
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    stack.append((u, v, iter(adj[u])))
+                    break
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if parent == root:
+                    children += 1
+                elif parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        cut.add(parent)
+        if children >= 2:
+            cut.add(root)
+    return sorted(cut)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -15,10 +15,12 @@ from lambdapack.certify import (
     CertificateError,
     FactRefuted,
     ReplayError,
+    certificate_from_dict,
     certificate_from_json,
     certificate_to_dict,
     certificate_to_json,
     check_certificate,
+    check_certificate_detailed,
     graph_hash,
     make_fact,
     replay_pipeline,
@@ -106,6 +108,31 @@ def test_tampering_is_detected(default_cert):
     data = json.loads(text)
     data["steps"][0]["conclusion"]["edge"] = [0, 1]
     assert not check_certificate(data)
+
+
+#: JSON documents whose top level or graph table is not an object
+WRONGLY_SHAPED = {
+    "list": "[]",
+    "null": "null",
+    "number": "3",
+    "graph table as a list": json.dumps(
+        {
+            "format": "lambdapack-certificate/1",
+            "graphs": [],
+            "steps": [],
+            "finalFacts": [],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WRONGLY_SHAPED))
+def test_wrongly_shaped_json_is_malformed(shape):
+    text = WRONGLY_SHAPED[shape]
+    with pytest.raises(CertificateError):
+        certificate_from_dict(json.loads(text))
+    problems = check_certificate_detailed(text)
+    assert len(problems) == 1 and problems[0].startswith("malformed certificate: ")
 
 
 def test_wrong_residue_script_rejected():

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -59,6 +60,47 @@ def test_check_cube(capsys):
     assert "bipartite: True" in out
     assert "planar: True" in out
     assert "3-connected: True" in out
+
+
+#: bare-JSON graphs that fail 2- or 3-connectivity in different ways
+SEPARATOR_GRAPHS = {
+    "cut_vertex": {"n": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]},
+    "separating_pair": {
+        "n": 6,
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [1, 4]],
+    },
+    "two_components": {"n": 5, "edges": [[0, 1], [0, 2], [1, 2], [3, 4]]},
+}
+
+#: SHA-256 of ``check --format json`` stdout, separators included
+CHECK_REPORT_SHA256 = {
+    "N": "48dcc5169bf5192a2214b0196ec3291975a03702220a71c855fc2e9f4cf712ab",
+    "prism(9)": "8896e8129513a724ba356ea141ac777cfe858b37f435b095534e1bbd7117dae6",
+    "cut_vertex": "19773699d3b09c7d631df1cf9289238cc9e6e0500fcfe99373a928a3dfe45064",
+    "separating_pair": (
+        "a5205441f9d2a7dc865d3656965fe63dbfc472ccf4f7612f4cea38bdf78e9219"
+    ),
+    "two_components": (
+        "26effe024529f16cdc18ea35f7763cdb1c5a5d08475a9fcca14fef239f577bd4"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_REPORT_SHA256))
+def test_check_json_report_bytes_are_pinned(tmp_path, capsys, name):
+    if name == "N":
+        source = tmp_path / "pipeline.lp"
+        source.write_text(DEFAULT_SCRIPT)
+        args = ("--script", str(source))
+    elif name in SEPARATOR_GRAPHS:
+        source = tmp_path / f"{name}.json"
+        source.write_text(json.dumps(SEPARATOR_GRAPHS[name]))
+        args = ("--input", str(source))
+    else:
+        args = ("--expr", name)
+    code, out, _ = run_cli(capsys, "check", *args, "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_REPORT_SHA256[name]
 
 
 def test_solve_max_on_k4(capsys):
@@ -227,6 +269,24 @@ def test_certify_and_check_cert(tmp_path, capsys):
     cert_path.write_text(json.dumps(data))
     code, _, _ = run_cli(capsys, "check-cert", str(cert_path))
     assert code == EXIT_REFUTED
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "null",
+        "3",
+        '{"format": "lambdapack-certificate/1", "graphs": [], "steps": [],'
+        ' "finalFacts": []}',
+    ],
+)
+def test_check_cert_reports_wrongly_shaped_json(tmp_path, capsys, text):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text)
+    code, out, err = run_cli(capsys, "check-cert", str(cert_path))
+    assert code == EXIT_REFUTED
+    assert out == "" and err.startswith("malformed certificate: ")
 
 
 def test_certify_custom_pipeline(tmp_path, capsys):

@@ -15,8 +15,12 @@ from lambdapack import (
     edge_cut,
     is_bipartite,
     is_cubic,
+    prism,
+    run_script,
+    sample_cubic,
 )
 from lambdapack.constructions import PortedVertex, ymerge
+from lambdapack.pipeline import DEFAULT_SCRIPT, family_script
 from lambdapack.graph import induced_subgraph, norm_edge
 
 
@@ -165,6 +169,93 @@ def test_connectivity_matches_exhaustive_subset_removal():
                     if sub.n > 1 and len(components(sub)) > 1:
                         expected = False
             assert connectivity_at_least(g, k)[0] == expected
+
+
+def _reference_connectivity(g, k):
+    """Exhaustive search: every vertex set of size < k, in combinations order."""
+    for size in range(k):
+        for sep in itertools.combinations(range(g.n), size):
+            rest = [v for v in range(g.n) if v not in sep]
+            if len(rest) <= 1:
+                continue
+            seen, stack = {rest[0]}, [rest[0]]
+            while stack:
+                v = stack.pop()
+                for u in g.adj[v]:
+                    if u not in sep and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if len(seen) < len(rest):
+                return False, frozenset(sep)
+    return True, None
+
+
+def _random_graph(rng, n, kind):
+    """A graph on n vertices of the given kind, with shuffled vertex ids."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    if kind == "tree":
+        edges = [(ids[v], ids[rng.randrange(v)]) for v in range(1, n)]
+    elif kind == "disconnected":
+        cut = rng.randrange(1, n)
+        edges = [
+            (ids[u], ids[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u < cut) == (v < cut) and rng.random() < 0.6
+        ]
+    elif kind == "ring":
+        # 2-connected, with chords that leave some separating pairs
+        edges = [(ids[v], ids[(v + 1) % n]) for v in range(n)] if n >= 3 else []
+        edges += [
+            (ids[u], ids[v])
+            for u in range(n)
+            for v in range(u + 2, n)
+            if (u, v) != (0, n - 1) and rng.random() < 0.15
+        ]
+    else:
+        p = {"sparse": 0.3, "medium": 0.5, "dense": 0.8}[kind]
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+    return Graph.from_edges(n, edges)
+
+
+GRAPH_KINDS = ("tree", "disconnected", "ring", "sparse", "medium", "dense")
+
+
+def test_connectivity_witness_matches_exhaustive_reference():
+    rng = random.Random(31)
+    for n in range(1, 13):
+        for kind in GRAPH_KINDS:
+            if kind == "disconnected" and n < 2:
+                continue
+            for _ in range(12):
+                g = _random_graph(rng, n, kind)
+                for k in (1, 2, 3) if n >= 4 else (1, 2):
+                    assert connectivity_at_least(g, k) == _reference_connectivity(
+                        g, k
+                    ), (kind, sorted(g.edges), k)
+
+
+def test_connectivity_witness_on_the_pipeline_graphs():
+    graphs = {b.name: b.graph for b in run_script(DEFAULT_SCRIPT)}
+    for member in (1, 2, 3):
+        graphs[f"N_{member}"] = run_script(family_script(member))[-1].graph
+    for name in ("K", "R", "H", "D", "F", "N", "N_1", "N_2", "N_3"):
+        g = graphs[name]
+        for k in (1, 2, 3):
+            assert connectivity_at_least(g, k) == _reference_connectivity(g, k), (
+                name,
+                k,
+            )
+
+
+def test_connectivity_scales_and_runs_without_recursion():
+    assert connectivity_at_least(prism(300), 3) == (True, None)
+    assert connectivity_at_least(sample_cubic(600, 1), 3) == (True, None)
+    path = Graph.from_edges(3000, [(v, v + 1) for v in range(2999)])
+    assert connectivity_at_least(path, 2) == (False, frozenset({1}))
 
 
 def test_norm_edge():
