@@ -92,7 +92,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise _CliError(str(exc), EXIT_PARSE) from exc
     else:
         sys.stdout.write(text)
 
@@ -293,10 +296,7 @@ def _cmd_checkcert(args: argparse.Namespace) -> int:
         text = Path(args.certificate).read_text()
     except OSError as exc:
         raise _CliError(str(exc), EXIT_PARSE) from exc
-    try:
-        problems = cert_mod.check_certificate_detailed(text, strict=args.strict)
-    except (cert_mod.CertificateError, json.JSONDecodeError, GraphError) as exc:
-        raise _CliError(f"malformed certificate: {exc}", EXIT_PARSE) from exc
+    problems = cert_mod.check_certificate_detailed(text, strict=args.strict)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)

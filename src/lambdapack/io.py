@@ -47,15 +47,14 @@ def from_json_dict(data: dict) -> Graph:
     try:
         n = int(data["n"])
         edges = [(int(u), int(v)) for u, v in data["edges"]]
-        raw_labels = data.get("labels") or {}
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = [(int(k), str(lab)) for k, lab in (data.get("labels") or {}).items()]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     labels = [f"v{i}" for i in range(n)]
-    for key, lab in raw_labels.items():
-        i = int(key)
+    for i, lab in pairs:
         if not (0 <= i < n):
-            raise GraphError(f"label key {key} out of range")
-        labels[i] = str(lab)
+            raise GraphError(f"label key {i} out of range")
+        labels[i] = lab
     return Graph.from_edges(n, edges, labels)
 
 

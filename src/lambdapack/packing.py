@@ -18,13 +18,12 @@ answer; otherwise the exact search below runs as if greedy had not.  The
 same greedy packing is the lower bound a MAX search reports when its
 budget runs out.
 
-All of them, and :func:`enumerate_factors`, run one depth-first search:
-find a packing of the free vertices that leaves at most ``slack`` of them
-uncovered and covers every forced edge.  FACTOR is slack 0; ``target=k``
-is slack live - 3k; MAX starts at the residue bound, the sum over
-components of (size mod 3), and raises the slack by 3 until the search
-succeeds, so the first success is optimal; enumeration is slack 0,
-collecting every solution.
+All of them run one depth-first search: find a packing of the free
+vertices that leaves at most ``slack`` of them uncovered and covers every
+forced edge.  FACTOR is slack 0; ``target=k`` is slack live - 3k; MAX
+starts at the residue bound, the sum over components of (size mod 3),
+and raises the slack by 3 until the search succeeds, so the first success
+is optimal.  :func:`enumerate_factors` is a client of ``solve``.
 
 The search is deterministic.  Paths through an unsatisfied forced edge
 come first; otherwise it branches on a vertex with at most one candidate
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Generator, Iterable, Iterator
 
@@ -130,7 +129,8 @@ class PackingProblem:
     def __post_init__(self) -> None:
         g = self.graph
         for v in self.deleted_vertices:
-            g.check_vertex(v)
+            if not 0 <= v < g.n:
+                raise PackingError(f"deleted vertex {v} is not a graph vertex")
         for name in ("deleted_edges", "forced_edges", "forbidden_edges"):
             for e in getattr(self, name):
                 if e != norm_edge(*e) or e not in g.edges:
@@ -275,9 +275,8 @@ def _bits(mask: int) -> list[int]:
 
 _MEMO_CAP = 1_000_000
 
-# A search frame is a generator: it yields (path placed or None, child
-# frame), receives the child's witness (a list of triples) or None, and
-# returns its own.
+# A search frame is a generator: it yields a child frame, receives the
+# child's witness (a list of triples) or None, and returns its own.
 _Frame = Generator
 # Masks of the free vertices with residual degree 0 and 1.  The unit rule
 # counts the degree of a degree-1 vertex's neighbour directly: a degree-2
@@ -288,7 +287,6 @@ _Degrees = tuple[int, int]
 
 class _Engine:
     def __init__(self, problem: PackingProblem, budget: Budget):
-        self.problem = problem
         self.adj = problem.usable_adj_masks()
         self.alive_mask = 0
         for v in problem.alive:
@@ -299,9 +297,6 @@ class _Engine:
         self.start = time.monotonic()
         # (component, forced edges in it) -> largest slack known to fail
         self.memo: dict[tuple[int, tuple[Edge, ...]], int] = {}
-        # enumeration mode: every factor found, in branch order
-        self.factors: list[tuple[Triple, ...]] | None = None
-        self.chosen: list[Triple | None] = []
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -401,20 +396,17 @@ class _Engine:
                 return None
         deg = self._degrees(free, (0, 0), free)
         stack = [self._split(free, slack, forced, deg, self._components(free))]
-        chosen = self.chosen = []
         result: list[Triple] | None = None
         while True:
             try:
-                path, child = stack[-1].send(result)
+                child = stack[-1].send(result)
             except StopIteration as stop:
                 stack.pop()
                 if not stack:
                     return stop.value
-                chosen.pop()
                 result = stop.value
             else:
                 stack.append(child)
-                chosen.append(path)
                 result = None
 
     def _split(
@@ -434,16 +426,13 @@ class _Engine:
         gets all the slack that is left, in one pass.
         """
         if free == 0:
-            if self.factors is None:
-                return []
-            self.factors.append(tuple(p for p in self.chosen if p is not None))
-            return None
+            return []
         need = sum(c.bit_count() % 3 for c in comps)
         if need > slack:
             self.stats.prunes["residue"] += 1
             return None
-        if len(comps) == 1 or self.factors is not None:
-            return (yield None, self._comp(free, slack, forced, deg))
+        if len(comps) == 1:
+            return (yield self._comp(free, slack, forced, deg))
         largest = max(comps, key=int.bit_count)
         comps.remove(largest)
         comps.append(largest)
@@ -466,7 +455,7 @@ class _Engine:
             while True:
                 if s > room:
                     return None
-                sub = yield None, self._comp(
+                sub = yield self._comp(
                     comp, s, key[1], (deg[0] & comp, deg[1] & comp)
                 )
                 if sub is not None:
@@ -534,7 +523,7 @@ class _Engine:
             )
             if child is None:
                 continue
-            sub = yield path, child
+            sub = yield child
             if sub is not None:
                 sub.append(path)
                 return sub
@@ -542,7 +531,7 @@ class _Engine:
             return None
         rest = comp & ~(1 << v)
         child = self._frame(rest, slack - 1, (), adj[v], deg)
-        return None if child is None else (yield None, child)
+        return None if child is None else (yield child)
 
     def _frame(
         self,
@@ -720,29 +709,37 @@ def enumerate_factors(
     problem: PackingProblem,
     budget: Budget | None = None,
 ) -> Iterator[tuple[LambdaPath, ...]]:
-    """Yield every factor of the problem, in canonical branch order.
+    """Yield every factor of the problem once, each as soon as it is found.
 
-    Exhaustive enumeration; intended for graphs with at most ~24 live
-    vertices (test support for the crossing-case and hub-bundle checks).
-    It is the slack-0 search, run without the component split and memo and
-    collecting each factor instead of stopping at the first.
+    Lawler's partition method: ``solve`` finds a factor W of a part (at
+    first ``problem``), and the rest of the part splits into one child per
+    edge e_i of W that the part does not force, in ascending order, which
+    forces e_1 .. e_(i-1) and forbids e_i; a factor other than W lies in the
+    child of the first e_i it lacks.  ``solve`` re-checks each factor with
+    :func:`check_packing`.  One ``budget`` covers every search; when it
+    runs out, PackingError is raised, after any factors found.
     """
     if problem.mode != Mode.FACTOR:
         raise PackingError("enumerate_factors needs a FACTOR-mode problem")
-    if len(problem.alive) > 24:
-        raise PackingError("enumerate_factors is limited to 24 live vertices")
-    engine = _Engine(problem, budget or Budget())
-    engine.factors = []
-    try:
-        engine.search(engine.alive_mask, 0, tuple(sorted(problem.forced_edges)))
-    except _BudgetExceeded:
-        raise PackingError("factor enumeration exceeded its budget") from None
-    for triples in engine.factors:
-        paths = tuple(
-            sorted((LambdaPath.of(*t) for t in triples), key=lambda p: p.vertices)
-        )
-        check_packing(problem, paths)
-        yield paths
+    budget = budget or Budget()
+    nodes = budget.max_nodes
+    deadline = time.monotonic() + budget.max_seconds
+    parts = [problem]
+    while parts:
+        part = parts.pop()
+        res = solve(part, Budget(nodes, deadline - time.monotonic()))
+        if res.verdict == "INDETERMINATE":
+            raise PackingError("factor enumeration exceeded its budget")
+        nodes -= res.stats.nodes
+        if res.verdict == "SAT":
+            yield res.paths
+            unforced = sorted(
+                {e for p in res.paths for e in p.edges} - part.forced_edges
+            )
+            for i, e in enumerate(unforced):
+                forced = part.forced_edges.union(unforced[:i])
+                forbidden = part.forbidden_edges | {e}
+                parts.append(replace(part, forced_edges=forced, forbidden_edges=forbidden))
 
 
 # ----------------------------------------------------------------------

@@ -225,6 +225,47 @@ def test_solve_output_ignores_labels(tmp_path, capsys):
     assert labelled_out == bare_out
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("check", "--input", '{"n": 2, "edges": [[0, 1]], "labels": {"x": "a"}}'),
+        (
+            "solve",
+            "--problem",
+            '{"graph": {"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a"]}}',
+        ),
+    ],
+)
+def test_malformed_labels_are_parse_errors(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert code == EXIT_PARSE
+    assert out == "" and "malformed graph JSON" in err
+
+
+def test_unwritable_output_is_parse_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(
+        capsys, "build", "--expr", "atlas(Q)", "--output", str(target)
+    )
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("error: ")
+
+
+def test_out_of_range_deleted_vertex_is_precondition(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--delete-vertex", "99"
+    )
+    assert code == EXIT_PRECONDITION
+    problem = tmp_path / "p.json"
+    graph = gio.to_json_dict(dsl.build("atlas(Q)"))
+    problem.write_text(json.dumps({"graph": graph, "deletedVertices": [99]}))
+    code, _, file_err = run_cli(capsys, "solve", "--problem", str(problem))
+    assert code == EXIT_PRECONDITION
+    assert err == file_err
+
+
 def test_missing_script_is_parse_error(capsys):
     code, out, _ = run_cli(capsys, "solve", "--script", "no-such-file", "--max")
     assert code == EXIT_PARSE
@@ -277,6 +318,7 @@ def test_certify_and_check_cert(tmp_path, capsys):
         "[]",
         "null",
         "3",
+        "{not json",
         '{"format": "lambdapack-certificate/1", "graphs": [], "steps": [],'
         ' "finalFacts": []}',
     ],

@@ -40,6 +40,12 @@ def test_json_malformed():
         from_json('{"n": 2, "edges": [[0, 5]], "labels": {}}')
 
 
+@pytest.mark.parametrize("labels", ['{"x": "a"}', '["a", "b"]', '{"2": "a"}', '"ab"'])
+def test_json_malformed_labels(labels):
+    with pytest.raises(GraphError):
+        from_json('{"n": 2, "edges": [[0, 1]], "labels": %s}' % labels)
+
+
 def test_dot_round_trip():
     for name in ("K4", "K33", "Q", "S"):
         g = atlas(name)
@@ -92,3 +98,6 @@ def test_problem_json_errors():
     )
     with pytest.raises(PackingError):
         problem_from_json(bad)
+    out_of_range = '{"graph": {"n": 3, "edges": [[0,1],[1,2]]}, "deletedVertices": [3]}'
+    with pytest.raises(PackingError):
+        problem_from_json(out_of_range)

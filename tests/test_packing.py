@@ -381,3 +381,21 @@ def test_enumerate_factors_finds_every_factor():
         assert set(map(frozenset, found)) == _brute_force_factors(problem), problem
         seen += len(found)
     assert seen > 0
+
+
+def test_enumerate_factors_streams_at_any_size():
+    # the first factor costs one solve; 60 live vertices are past the old cap
+    problem = PackingProblem(sample_cubic(60, 1), Mode.FACTOR)
+    check_packing(problem, next(enumerate_factors(problem)))
+
+
+def test_enumerate_factors_budget_covers_every_search():
+    problem = PackingProblem(atlas("S"), Mode.FACTOR)
+    with pytest.raises(PackingError, match="budget"):
+        next(enumerate_factors(problem, Budget(max_nodes=0)))
+    found = []
+    with pytest.raises(PackingError, match="budget"):
+        for factor in enumerate_factors(problem, Budget(max_nodes=50)):
+            found.append(frozenset(factor))
+    # S has 45 factors; the budget runs out part-way, after some are yielded
+    assert 0 < len(set(found)) < 45
