@@ -435,11 +435,9 @@ def _problem_payload(fact: Fact) -> dict:
 
 
 class ReplayError(ValueError):
-    """Replay aborted; carries the partial certificate assembled so far."""
-
-    def __init__(self, message: str, partial: Certificate):
-        super().__init__(message)
-        self.partial = partial
+    """Replay aborted by its ``__cause__`` (an inapplicable rule's
+    ``CertificateError`` or a base search's ``FactRefuted``), or, with no
+    cause, by a base search that had to finish running out of budget."""
 
 
 #: residual-size tiers for base cross-checks: (max residual vertices, must finish)
@@ -470,14 +468,6 @@ def replay_pipeline(
     graphs: dict[str, Graph] = {}
     names: dict[str, str] = {}
 
-    def partial() -> Certificate:
-        finals = tuple(
-            s.conclusion
-            for s in steps
-            if s.rule != "BASE" and s.conclusion.kind != KIND_CONTAINING
-        )
-        return Certificate(graphs, names, tuple(steps), finals)
-
     for rec in records:
         if rec.name is None:
             continue
@@ -490,7 +480,7 @@ def replay_pipeline(
         try:
             step = apply_rule(rec, store, f"s{len(steps) + 1}")
         except CertificateError as exc:
-            raise ReplayError(f"stage {rec.name!r}: {exc}", partial()) from exc
+            raise ReplayError(f"stage {rec.name!r}: {exc}") from exc
         if step is None:
             continue
         steps.append(step)
@@ -508,20 +498,23 @@ def replay_pipeline(
         except FactRefuted as exc:
             raise ReplayError(
                 f"base search refuted {fact.kind} on "
-                f"{names.get(fact.graph_hash, fact.graph_hash[:12])}: {exc}",
-                partial(),
+                f"{names.get(fact.graph_hash, fact.graph_hash[:12])}: {exc}"
             ) from exc
         if (
             base.evidence["verdict"] == "INDETERMINATE"
             and size <= BASE_STRICT_MAX
         ):
             raise ReplayError(
-                f"strict base check ran out of budget on {size} vertices",
-                partial(),
+                f"strict base check ran out of budget on {size} vertices"
             )
         steps.append(base)
 
-    return partial()
+    finals = tuple(
+        s.conclusion
+        for s in steps
+        if s.rule != "BASE" and s.conclusion.kind != KIND_CONTAINING
+    )
+    return Certificate(graphs, names, tuple(steps), finals)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,13 @@ otherwise); progress and diagnostics go to stderr.  JSON output is
 byte-identical across identical invocations: volatile quantities (wall
 time) never appear in it, only deterministic ones (node counts).
 
-Exit codes: 0 success; 2 parse/input error; 3 precondition violation;
-4 budget exhausted; 5 a claimed fact was refuted by a search witness.
+Exit codes, each decided by ``main`` from the error class: 0 success;
+2 parse/input error (``OSError``, ``ParseError``, ``GraphError``);
+3 precondition violation (``ConstructionError``, ``PackingError``,
+``CertificateError``); 4 budget exhausted (an INDETERMINATE search, or a
+``ReplayError`` without a cause); 5 a claimed fact was refuted
+(``FactRefuted``, a failed certificate check or bound test).  A
+``ReplayError`` with a cause gets the code of its cause.
 
 Budgets default to those of ``Budget()`` (1e8 nodes / 600 s) and can be
 overridden per invocation (``--budget-nodes``, ``--budget-seconds``).
@@ -16,6 +21,7 @@ overridden per invocation (``--budget-nodes``, ``--budget-seconds``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +37,6 @@ from .graph import (
     degree_profile,
     is_bipartite,
     is_cubic,
-    norm_edge,
 )
 from .packing import (
     Budget,
@@ -52,6 +57,8 @@ EXIT_REFUTED = 5
 
 
 class _CliError(Exception):
+    """A failed check of the CLI's own arguments, with its exit code."""
+
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
@@ -67,68 +74,49 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         raise _CliError(
             "give exactly one of --input, --expr, --script", EXIT_PARSE
         )
-    try:
-        if args.input:
-            text = Path(args.input).read_text()
-            if args.input.endswith(".dot"):
-                return gio.from_dot(text)
-            return gio.from_json(text)
-        if args.expr:
-            return dsl.build(args.expr)
-        records = dsl.run_script(Path(args.script).read_text())
-        if not records:
-            raise _CliError("script is empty", EXIT_PARSE)
-        if getattr(args, "name", None):
-            for rec in records:
-                if rec.name == args.name:
-                    return rec.graph
-            raise _CliError(f"script binds no name {args.name!r}", EXIT_PARSE)
-        return records[-1].graph
-    except OSError as exc:
-        raise _CliError(str(exc), EXIT_PARSE) from exc
-    except (dsl.ParseError, GraphError) as exc:
-        raise _CliError(str(exc), EXIT_PARSE) from exc
+    if args.input:
+        text = Path(args.input).read_text()
+        if args.input.endswith(".dot"):
+            return gio.from_dot(text)
+        return gio.from_json(text)
+    if args.expr:
+        return dsl.build(args.expr)
+    records = dsl.run_script(Path(args.script).read_text())
+    if not records:
+        raise _CliError("script is empty", EXIT_PARSE)
+    if getattr(args, "name", None):
+        for rec in records:
+            if rec.name == args.name:
+                return rec.graph
+        raise _CliError(f"script binds no name {args.name!r}", EXIT_PARSE)
+    return records[-1].graph
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise _CliError(str(exc), EXIT_PARSE) from exc
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _graph_text(g: Graph, fmt: str) -> str:
-    if fmt == "json":
-        return gio.to_json(g)
-    if fmt == "dot":
-        return gio.to_dot(g)
-    raise _CliError(f"unknown format {fmt!r}", EXIT_PARSE)
-
-
 def _parse_edge(g: Graph, spec: str) -> tuple[int, int]:
-    """An edge given as 'u,v' (ids) or 'label-label'."""
+    """An edge given as 'u,v' (ids) or 'label-label', as an ordered pair."""
     try:
         if "," in spec:
             u, v = (int(part) for part in spec.split(",", 1))
-            return u, v
-        lu, lv = spec.split("-", 1)
-        return g.vertex_by_label(lu), g.vertex_by_label(lv)
-    except (ValueError, GraphError) as exc:
-        raise _CliError(f"bad edge {spec!r}: {exc}", EXIT_PARSE) from exc
+        else:
+            lu, lv = spec.split("-", 1)
+            u, v = g.vertex_by_label(lu), g.vertex_by_label(lv)
+    except ValueError as exc:  # GraphError included
+        raise GraphError(f"bad edge {spec!r}: {exc}") from exc
+    return (u, v) if u < v else (v, u)
 
 
 def _parse_vertex(g: Graph, spec: str) -> int:
     try:
         return int(spec)
     except ValueError:
-        pass
-    try:
         return g.vertex_by_label(spec)
-    except GraphError as exc:
-        raise _CliError(f"bad vertex {spec!r}: {exc}", EXIT_PARSE) from exc
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +142,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    _emit(args, _graph_text(g, args.format))
+    _emit(args, gio.to_dot(g) if args.format == "dot" else gio.to_json(g))
     return EXIT_OK
 
 
@@ -214,38 +202,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.problem:
         if any(getattr(args, s, None) for s in ("input", "expr", "script")):
             raise _CliError("--problem replaces --input/--expr/--script", EXIT_PARSE)
-        try:
-            base = gio.problem_from_json(Path(args.problem).read_text())
-        except OSError as exc:
-            raise _CliError(str(exc), EXIT_PARSE) from exc
-        except PackingError as exc:
-            raise _CliError(str(exc), EXIT_PRECONDITION) from exc
-        except GraphError as exc:
-            raise _CliError(str(exc), EXIT_PARSE) from exc
-        g = base.graph
+        base = gio.problem_from_json(Path(args.problem).read_text())
     else:
-        base = None
-        g = _load_graph(args)
-    if args.factor or args.max:
-        mode = Mode.FACTOR if args.factor else Mode.MAX
-    else:
-        mode = base.mode if base else Mode.MAX
-    try:
-        problem = PackingProblem(
-            g,
-            mode,
-            deleted_vertices=(base.deleted_vertices if base else frozenset())
-            | frozenset(_parse_vertex(g, s) for s in args.delete_vertex),
-            deleted_edges=(base.deleted_edges if base else frozenset())
-            | frozenset(norm_edge(*_parse_edge(g, s)) for s in args.delete_edge),
-            forced_edges=(base.forced_edges if base else frozenset())
-            | frozenset(norm_edge(*_parse_edge(g, s)) for s in args.force_edge),
-            forbidden_edges=(base.forbidden_edges if base else frozenset())
-            | frozenset(norm_edge(*_parse_edge(g, s)) for s in args.avoid_edge),
-        )
-        result = solve(problem, _budget(args), target=args.target)
-    except (PackingError, GraphError) as exc:
-        raise _CliError(str(exc), EXIT_PRECONDITION) from exc
+        base = PackingProblem(_load_graph(args), Mode.MAX)
+    g = base.graph
+
+    def edges(specs: list[str]) -> frozenset:
+        return frozenset(_parse_edge(g, s) for s in specs)
+
+    problem = dataclasses.replace(
+        base,
+        mode=Mode.FACTOR if args.factor else Mode.MAX if args.max else base.mode,
+        deleted_vertices=base.deleted_vertices
+        | frozenset(_parse_vertex(g, s) for s in args.delete_vertex),
+        deleted_edges=base.deleted_edges | edges(args.delete_edge),
+        forced_edges=base.forced_edges | edges(args.force_edge),
+        forbidden_edges=base.forbidden_edges | edges(args.avoid_edge),
+    )
+    result = solve(problem, _budget(args), target=args.target)
     payload = {
         "verdict": result.verdict,
         "value": result.value,
@@ -261,24 +235,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.pipeline == "default":
-        script = DEFAULT_SCRIPT
-    else:
-        try:
-            script = Path(args.pipeline).read_text()
-        except OSError as exc:
-            raise _CliError(str(exc), EXIT_PARSE) from exc
-    try:
-        certificate = cert_mod.replay_pipeline(
-            script, base_budget=_budget(args), deep=args.deep
-        )
-    except cert_mod.ReplayError as exc:
-        cause = exc.__cause__
-        code = EXIT_REFUTED if isinstance(cause, cert_mod.FactRefuted) else EXIT_BUDGET
-        print(f"replay aborted: {exc}", file=sys.stderr)
-        return code
-    except dsl.ParseError as exc:
-        raise _CliError(str(exc), EXIT_PARSE) from exc
+    default = args.pipeline == "default"
+    script = DEFAULT_SCRIPT if default else Path(args.pipeline).read_text()
+    certificate = cert_mod.replay_pipeline(
+        script, base_budget=_budget(args), deep=args.deep
+    )
     problems = cert_mod.check_certificate_detailed(certificate)
     if problems:
         for p in problems:
@@ -292,10 +253,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkcert(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.certificate).read_text()
-    except OSError as exc:
-        raise _CliError(str(exc), EXIT_PARSE) from exc
+    text = Path(args.certificate).read_text()
     problems = cert_mod.check_certificate_detailed(text, strict=args.strict)
     if problems:
         for p in problems:
@@ -427,26 +385,35 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Library error classes and their exit codes, looked up in order (a
+#: ``ConstructionError`` is also a ``GraphError``).
+_EXIT_CODES = (
+    (cert_mod.FactRefuted, EXIT_REFUTED),
+    ((ConstructionError, PackingError, cert_mod.CertificateError), EXIT_PRECONDITION),
+    ((OSError, dsl.ParseError, GraphError), EXIT_PARSE),
+)
+
+
+def _exit_code(exc: Exception) -> int | None:
+    if isinstance(exc, _CliError):
+        return exc.code
+    if isinstance(exc, cert_mod.ReplayError):
+        if exc.__cause__ is None:
+            return EXIT_BUDGET
+        exc = exc.__cause__
+    return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (dsl.ParseError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConstructionError, PackingError, cert_mod.CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except cert_mod.FactRefuted as exc:
-        print(f"refuted: {exc}", file=sys.stderr)
-        return EXIT_REFUTED
+        return code
 
 
 if __name__ == "__main__":

@@ -83,30 +83,24 @@ def problem_to_json(problem) -> str:
 
 
 def problem_from_dict(data: dict):
-    from .packing import Mode, PackingError, PackingProblem
+    from .packing import Mode, PackingProblem
+
+    def edge_set(key: str) -> frozenset:
+        pairs = [(int(u), int(v)) for u, v in data.get(key, [])]
+        return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
 
     try:
         graph = from_json_dict(data["graph"])
-        mode = Mode(data.get("mode", "MAX"))
-
-        def edge_set(key: str) -> frozenset:
-            return frozenset(
-                (int(u), int(v)) if u < v else (int(v), int(u))
-                for u, v in data.get(key, [])
-            )
-
-        return PackingProblem(
-            graph,
-            mode,
+        fields = dict(
+            mode=Mode(data.get("mode", "MAX")),
             deleted_vertices=frozenset(int(v) for v in data.get("deletedVertices", [])),
             deleted_edges=edge_set("deletedEdges"),
             forced_edges=edge_set("forcedEdges"),
             forbidden_edges=edge_set("forbiddenEdges"),
         )
-    except PackingError:
-        raise  # constraint violations are preconditions, not JSON shape errors
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed problem JSON: {exc}") from exc
+    return PackingProblem(graph, **fields)
 
 
 def problem_from_json(text: str):

@@ -133,7 +133,9 @@ class PackingProblem:
                 raise PackingError(f"deleted vertex {v} is not a graph vertex")
         for name in ("deleted_edges", "forced_edges", "forbidden_edges"):
             for e in getattr(self, name):
-                if e != norm_edge(*e) or e not in g.edges:
+                if e[0] == e[1]:
+                    raise PackingError(f"loop edge at vertex {e[0]}")
+                if e not in g.edges:
                     raise PackingError(f"{name} entry {e} is not a graph edge")
         if self.forced_edges & self.forbidden_edges:
             raise PackingError("an edge cannot be both forced and forbidden")

@@ -264,6 +264,57 @@ def test_out_of_range_deleted_vertex_is_precondition(tmp_path, capsys):
     code, _, file_err = run_cli(capsys, "solve", "--problem", str(problem))
     assert code == EXIT_PRECONDITION
     assert err == file_err
+    # a loop edge is a precondition violation from a flag and from a file
+    code, _, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", "--force-edge", "3,3"
+    )
+    assert code == EXIT_PRECONDITION
+    problem.write_text(json.dumps({"graph": graph, "forcedEdges": [[3, 3]]}))
+    code, _, file_err = run_cli(capsys, "solve", "--problem", str(problem))
+    assert code == EXIT_PRECONDITION
+    assert err == file_err == "error: loop edge at vertex 3\n"
+
+
+# F built on the six-prism: the esub rule's R4 premise does not exist
+INAPPLICABLE_RULE_SCRIPT = "\n".join(
+    DEFAULT_SCRIPT.splitlines()[:4]
+    + ["let F = esub(atlas(S)@o0-o1, D@B.B.o5-B.A.A.000)", ""]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, file_text, code, message",
+    [
+        (("check", "--input", "{file}"), "{not json", EXIT_PARSE, "invalid JSON"),
+        (
+            ("solve", "--expr", "atlas(Q)", "--force-edge", "000-nope"),
+            None,
+            EXIT_PARSE,
+            "no vertex labeled 'nope'",
+        ),
+        (
+            ("certify", "--pipeline", "{file}"),
+            INAPPLICABLE_RULE_SCRIPT,
+            EXIT_PRECONDITION,
+            "R4 premise missing",
+        ),
+        (
+            ("certify", "--budget-nodes", "1"),
+            None,
+            EXIT_BUDGET,
+            "strict base check ran out of budget",
+        ),
+    ],
+    ids=["malformed-json", "unknown-label", "inapplicable-rule", "certify-budget"],
+)
+def test_exit_code_matrix(tmp_path, capsys, argv, file_text, code, message):
+    """One invocation per error class not covered by another test here."""
+    path = tmp_path / "input"
+    path.write_text(file_text or "")
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == "" and err.startswith("error: ") and message in err
 
 
 def test_missing_script_is_parse_error(capsys):

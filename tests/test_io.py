@@ -86,6 +86,19 @@ def test_problem_round_trip():
     assert problem_to_json(again) == text
 
 
+def test_problem_edges_are_ordered_as_ints():
+    from lambdapack import Mode, PackingProblem, problem_from_json
+
+    text = (
+        '{"graph": {"n": 11, "edges": [[9, 10]]}, "mode": "MAX",'
+        ' "forcedEdges": [["10", "9"]]}'
+    )
+    problem = problem_from_json(text)
+    assert problem == PackingProblem(
+        Graph.from_edges(11, [(9, 10)]), Mode.MAX, forced_edges=frozenset({(9, 10)})
+    )
+
+
 def test_problem_json_errors():
     from lambdapack import PackingError, problem_from_json
 

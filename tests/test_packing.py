@@ -142,6 +142,12 @@ def test_forced_and_forbidden_disjoint():
         )
 
 
+@pytest.mark.parametrize("field", ["deleted_edges", "forced_edges", "forbidden_edges"])
+def test_loop_edge_is_a_packing_error(field):
+    with pytest.raises(PackingError, match="loop edge at vertex 3"):
+        PackingProblem(atlas("Q"), Mode.MAX, **{field: frozenset({(3, 3)})})
+
+
 def test_budget_yields_indeterminate():
     pipe = build_pipeline()
     n = pipe.graph("N")
