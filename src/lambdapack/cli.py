@@ -21,7 +21,6 @@ overridden per invocation (``--budget-nodes``, ``--budget-seconds``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -130,13 +129,13 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         g = atlas(name)
         rows.append({"name": name, "vertices": g.n, "edges": g.m})
     if args.format == "json":
-        _emit(args, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     else:
-        for row in rows:
-            _emit(
-                args,
-                f"{row['name']:4s} vertices={row['vertices']:3d} edges={row['edges']:3d}\n",
-            )
+        text = "".join(
+            f"{row['name']:4s} vertices={row['vertices']:3d} edges={row['edges']:3d}\n"
+            for row in rows
+        )
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -202,23 +201,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.problem:
         if any(getattr(args, s, None) for s in ("input", "expr", "script")):
             raise _CliError("--problem replaces --input/--expr/--script", EXIT_PARSE)
-        base = gio.problem_from_json(Path(args.problem).read_text())
+        g, fields = gio.problem_parts(gio.load_json(Path(args.problem).read_text()))
     else:
-        base = PackingProblem(_load_graph(args), Mode.MAX)
-    g = base.graph
+        g, fields = _load_graph(args), {"mode": Mode.MAX}
+    if args.factor or args.max:
+        fields["mode"] = Mode.FACTOR if args.factor else Mode.MAX
 
     def edges(specs: list[str]) -> frozenset:
         return frozenset(_parse_edge(g, s) for s in specs)
 
-    problem = dataclasses.replace(
-        base,
-        mode=Mode.FACTOR if args.factor else Mode.MAX if args.max else base.mode,
-        deleted_vertices=base.deleted_vertices
-        | frozenset(_parse_vertex(g, s) for s in args.delete_vertex),
-        deleted_edges=base.deleted_edges | edges(args.delete_edge),
-        forced_edges=base.forced_edges | edges(args.force_edge),
-        forbidden_edges=base.forbidden_edges | edges(args.avoid_edge),
-    )
+    flags = {
+        "deleted_vertices": frozenset(_parse_vertex(g, s) for s in args.delete_vertex),
+        "deleted_edges": edges(args.delete_edge),
+        "forced_edges": edges(args.force_edge),
+        "forbidden_edges": edges(args.avoid_edge),
+    }
+    for name, extra in flags.items():
+        fields[name] = fields.get(name, frozenset()) | extra
+    # validated once, with every flag applied
+    problem = PackingProblem(g, **fields)
     result = solve(problem, _budget(args), target=args.target)
     payload = {
         "verdict": result.verdict,

@@ -59,11 +59,7 @@ def from_json_dict(data: dict) -> Graph:
 
 
 def from_json(text: str) -> Graph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid JSON: {exc}") from exc
-    return from_json_dict(data)
+    return from_json_dict(load_json(text))
 
 
 def problem_to_dict(problem) -> dict:
@@ -82,8 +78,10 @@ def problem_to_json(problem) -> str:
     return json.dumps(problem_to_dict(problem), sort_keys=True, indent=2) + "\n"
 
 
-def problem_from_dict(data: dict):
-    from .packing import Mode, PackingProblem
+def problem_parts(data: dict) -> tuple[Graph, dict]:
+    """The graph and the :class:`~lambdapack.packing.PackingProblem` fields
+    a problem dict describes, before the problem validates them."""
+    from .packing import Mode
 
     def edge_set(key: str) -> frozenset:
         pairs = [(int(u), int(v)) for u, v in data.get(key, [])]
@@ -100,15 +98,26 @@ def problem_from_dict(data: dict):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed problem JSON: {exc}") from exc
+    return graph, fields
+
+
+def problem_from_dict(data: dict):
+    from .packing import PackingProblem
+
+    graph, fields = problem_parts(data)
     return PackingProblem(graph, **fields)
 
 
-def problem_from_json(text: str):
+def load_json(text: str):
+    """Parse JSON text; malformed text is a :class:`GraphError`."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
-    return problem_from_dict(data)
+
+
+def problem_from_json(text: str):
+    return problem_from_dict(load_json(text))
 
 
 _DOT_NODE = re.compile(r'^"((?:[^"\\]|\\.)*)"\s*\[id=(\d+)\];$')

@@ -50,12 +50,15 @@ Budgets (node count and wall time) turn an unfinished search into an
 explicit INDETERMINATE result, never a silent wrong answer; both are read
 before any work, so a zero budget ends every query INDETERMINATE.  Every
 witness ``solve`` returns (SAT, OPTIMUM, or the INDETERMINATE lower bound)
-is re-checked by :func:`check_packing`, which shares no logic with the
-search, and every UNSAT comes from an exhaustive search.
+is re-checked by :func:`check_packing`, and every UNSAT comes from an
+exhaustive search.  The re-check works on an int mask of vertices but
+shares no logic or state with the search: it reads only the graph's edge
+set and the problem's own sets, not the search's adjacency masks.
 
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
 nearly all satisfiable; it answers each from the factors it has already
-found when one fits, and searches only the rest.
+found when one fits, by bitmask tests on edge sets and a dict lookup on
+deleted vertex sets, and searches only the rest.
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import Generator, Iterable, Iterator
 
-from .graph import CutReport, Edge, Graph, is_cubic, norm_edge
+from .graph import CutReport, Edge, Graph, GraphError, is_cubic, norm_edge
 
 Triple = tuple[int, int, int]
 
@@ -141,27 +145,39 @@ class PackingProblem:
             raise PackingError("an edge cannot be both forced and forbidden")
         if self.forced_edges & self.deleted_edges:
             raise PackingError("an edge cannot be both forced and deleted")
-        if self.mode == Mode.FACTOR and len(self.alive) % 3 != 0:
+        live = g.n - len(self.deleted_vertices)
+        if self.mode == Mode.FACTOR and live % 3 != 0:
             raise PackingError(
-                f"FACTOR mode needs a live vertex count divisible by 3, "
-                f"got {len(self.alive)}"
+                f"FACTOR mode needs a live vertex count divisible by 3, got {live}"
             )
 
     @property
     def alive(self) -> frozenset[int]:
         return frozenset(range(self.graph.n)) - self.deleted_vertices
 
+    @property
+    def alive_mask(self) -> int:
+        """The live vertices as a bitmask."""
+        dead = 0
+        for v in self.deleted_vertices:
+            dead |= 1 << v
+        return ((1 << self.graph.n) - 1) & ~dead
+
     def usable_adj_masks(self) -> list[int]:
-        """Adjacency restricted to live endpoints and usable edges."""
-        banned = self.deleted_edges | self.forbidden_edges
-        dead = self.deleted_vertices
+        """Adjacency restricted to live endpoints and usable edges: the
+        masks of every graph edge, less the few deleted or forbidden edges
+        and the edges at deleted vertices."""
         masks = [0] * self.graph.n
-        for e in self.graph.edges:
-            u, v = e
-            if e in banned or u in dead or v in dead:
-                continue
+        for u, v in self.graph.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        for u, v in self.deleted_edges | self.forbidden_edges:
+            masks[u] &= ~(1 << v)
+            masks[v] &= ~(1 << u)
+        for x in self.deleted_vertices:
+            for y in _bits(masks[x]):
+                masks[y] &= ~(1 << x)
+            masks[x] = 0
         return masks
 
 
@@ -231,34 +247,41 @@ def check_packing(
 ) -> None:
     """Re-verify a claimed packing against the problem; raises on any violation.
 
-    Independent of the solver: checks edge existence, usability,
-    disjointness, forced-edge coverage, and (FACTOR mode) full coverage.
+    Independent of the solver: it reads only ``problem.graph.edges`` and
+    the problem's own sets, and checks, in this order, each vertex (in
+    range, live, not covered before) and each edge (a graph edge, not
+    deleted or forbidden) of each path, then forced-edge coverage, then
+    (FACTOR mode) full coverage.  Vertices are tracked in one int mask.
     """
     g = problem.graph
+    n, edges = g.n, g.edges
     banned = problem.deleted_edges | problem.forbidden_edges
-    used: set[int] = set()
-    covered_edges: set[Edge] = set()
+    forced = problem.forced_edges
+    alive = problem.alive_mask
+    used = 0
+    covered: set[Edge] = set()
     for p in paths:
-        for v in p.vertices:
-            g.check_vertex(v)
-            if v in problem.deleted_vertices:
-                raise PackingError(f"path {p} uses deleted vertex {v}")
-            if v in used:
-                raise PackingError(f"vertex {v} covered twice")
-            used.add(v)
-        for e in p.edges:
-            if e not in g.edges:
+        u, v, w = p.u, p.v, p.w
+        for x in (u, v, w):
+            if not 0 <= x < n:
+                raise GraphError(f"vertex {x} out of range for n={n}")
+            b = 1 << x
+            if not b & alive:
+                raise PackingError(f"path {p} uses deleted vertex {x}")
+            if b & used:
+                raise PackingError(f"vertex {x} covered twice")
+            used |= b
+        for e in ((u, v) if u < v else (v, u), (v, w) if v < w else (w, v)):
+            if e not in edges:
                 raise PackingError(f"path {p} uses a non-edge {e}")
             if e in banned:
                 raise PackingError(f"path {p} uses a deleted/forbidden edge {e}")
-            covered_edges.add(e)
-    missing = problem.forced_edges - covered_edges
-    if missing:
-        raise PackingError(f"forced edges not covered: {sorted(missing)}")
-    if problem.mode == Mode.FACTOR and used != set(problem.alive):
-        raise PackingError(
-            f"factor misses vertices {sorted(set(problem.alive) - used)}"
-        )
+            if e in forced:
+                covered.add(e)
+    if len(covered) < len(forced):
+        raise PackingError(f"forced edges not covered: {sorted(forced - covered)}")
+    if problem.mode == Mode.FACTOR and alive & ~used:
+        raise PackingError(f"factor misses vertices {_bits(alive & ~used)}")
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +313,7 @@ _Degrees = tuple[int, int]
 class _Engine:
     def __init__(self, problem: PackingProblem, budget: Budget):
         self.adj = problem.usable_adj_masks()
-        self.alive_mask = 0
-        for v in problem.alive:
-            self.alive_mask |= 1 << v
+        self.alive_mask = problem.alive_mask
         self.budget = budget
         self.stats = SolveStats()
         self.deadline = time.monotonic() + budget.max_seconds
@@ -356,29 +377,24 @@ class _Engine:
 
     # -- candidate moves -------------------------------------------------
 
-    def _paths_covering(self, v: int, free: int) -> list[Triple]:
+    def _paths_covering(self, v: int, free: int) -> Iterator[Triple]:
+        """The candidate paths through ``v`` within ``free``, unordered."""
         adj = self.adj
         nbrs = _bits(adj[v] & free)
-        out: list[Triple] = []
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
-                out.append((a, v, b))
+                yield (a, v, b)
         for c in nbrs:
-            for w in _bits(adj[c] & free):
-                if w != v:
-                    out.append((v, c, w) if v < w else (w, c, v))
-        return sorted(out)
+            for w in _bits(adj[c] & free & ~(1 << v)):
+                yield (v, c, w) if v < w else (w, c, v)
 
-    def _paths_through_edge(self, u: int, v: int, free: int) -> list[Triple]:
+    def _paths_through_edge(self, u: int, v: int, free: int) -> Iterator[Triple]:
+        """The candidate paths through the edge (u, v) within ``free``, unordered."""
         adj = self.adj
-        out: list[Triple] = []
-        for x in _bits(adj[u] & free):
-            if x != v:
-                out.append((x, u, v) if x < v else (v, u, x))
-        for y in _bits(adj[v] & free):
-            if y != u:
-                out.append((u, v, y) if u < y else (y, v, u))
-        return sorted(out)
+        for x in _bits(adj[u] & free & ~(1 << v)):
+            yield (x, u, v) if x < v else (v, u, x)
+        for y in _bits(adj[v] & free & ~(1 << u)):
+            yield (u, v, y) if u < y else (y, v, u)
 
     # -- the deficiency-bounded search ------------------------------------
 
@@ -500,10 +516,10 @@ class _Engine:
             self.stats.prunes["residue"] += 1
             return None
         if forced:
-            moves = self._paths_through_edge(*forced[0], comp)
+            moves = sorted(self._paths_through_edge(*forced[0], comp))
         else:
             v = self._branch_vertex(comp, deg)
-            moves = self._paths_covering(v, comp)
+            moves = sorted(self._paths_covering(v, comp))
         if not moves and (forced or not slack):
             self.stats.prunes["stranded"] += 1
             return None
@@ -610,18 +626,16 @@ class _Engine:
                 continue
             if not ((free >> u) & 1 and (free >> v) & 1):
                 return None
-            moves = self._paths_through_edge(u, v, free)
-            if not moves:
+            path = min(self._paths_through_edge(u, v, free), default=None)
+            if path is None:
                 return None
-            path = moves[0]
             out.append(path)
             covered.update(LambdaPath.of(*path).edges)
             free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
         while free:
             v = (free & -free).bit_length() - 1
-            moves = self._paths_covering(v, free)
-            if moves:
-                path = moves[0]
+            path = min(self._paths_covering(v, free), default=None)
+            if path is not None:
                 out.append(path)
                 free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
             else:
@@ -670,12 +684,14 @@ def solve(
                 wit = None
                 if 3 * target <= live:
                     wit = engine.search(alive, live - 3 * target, forced)
-            if wit is not None:
+            if wit is not None and forced:
                 # keep every path on a forced edge, then fill up to ``target``
                 edges = problem.forced_edges
                 on_forced = [p for p in wit if set(LambdaPath.of(*p).edges) & edges]
                 others = [p for p in wit if p not in on_forced]
                 wit = on_forced + others[: max(0, target - len(on_forced))]
+            elif wit is not None:
+                wit = wit[:target]
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
         # MAX: the least slack that succeeds gives the optimum
         slack = sum(c.bit_count() % 3 for c in engine._components(alive))
@@ -825,9 +841,10 @@ def residue_factor_clauses(
     Almost every query has a factor, so each one first looks for it among
     the factors already found: one with the same deleted vertices that uses
     none of the query's deleted or forbidden edges and covers its forced
-    edges, or a factor of G less the paths that cover exactly the deleted
-    vertices (a factor of G containing a path on V(p), less that path, is
-    a factor of G - V(p)).  A reused factor is
+    edges (edge sets are compared as bitmasks), or, when the deleted
+    vertices are the vertex set of a path of a factor of G, that factor
+    less that path (a factor of G - V(p)), found by a dict lookup on the
+    vertex set.  A reused factor is
     re-checked by :func:`check_packing` and costs no search node.  Only the
     other queries are searched, each under its own ``budget``, so every
     "fails" and "indeterminate" comes from a search, on the same query as
@@ -842,20 +859,29 @@ def residue_factor_clauses(
     bit = {e: 1 << i for i, e in enumerate(edges)}
     # deleted vertices -> (factor, mask of its edges), every factor found so far
     pool: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int]]] = {}
+    # vertex set of a path -> (factor of G, mask of its edges, that path)
+    on_path: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int, LambdaPath]]] = {}
+
+    def mask_of(es: Iterable[Edge]) -> int:
+        mask = 0
+        for e in es:
+            mask |= bit[e]
+        return mask
 
     def edge_mask(paths: Iterable[LambdaPath]) -> int:
-        return sum(bit[e] for p in paths for e in p.edges)
+        return mask_of(e for p in paths for e in p.edges)
 
     def pooled(prob: PackingProblem) -> bool:
+        banned = mask_of(prob.deleted_edges) | mask_of(prob.forbidden_edges)
+        forced = mask_of(prob.forced_edges)
         dead = prob.deleted_vertices
-        banned = sum(bit[e] for e in prob.deleted_edges | prob.forbidden_edges)
-        forced = sum(bit[e] for e in prob.forced_edges)
-        found = list(pool.get(dead, ()))
-        if dead:
-            for paths, _ in pool.get(frozenset(), ()):
-                kept = tuple(p for p in paths if dead.isdisjoint(p.vertices))
-                if 3 * (len(paths) - len(kept)) == len(dead):
-                    found.append((kept, edge_mask(kept)))
+        found = chain(
+            pool.get(dead, ()),
+            (
+                (tuple(p for p in paths if p is not path), mask & ~edge_mask((path,)))
+                for paths, mask, path in on_path.get(dead, ())
+            ),
+        )
         for paths, mask in found:
             if not mask & banned and not forced & ~mask:
                 check_packing(prob, paths)
@@ -873,9 +899,13 @@ def residue_factor_clauses(
             if res.verdict != "SAT":
                 out[name] = ClauseResult("fails", what)
                 return
-            pool.setdefault(prob.deleted_vertices, []).append(
-                (res.paths, edge_mask(res.paths))
-            )
+            mask = edge_mask(res.paths)
+            pool.setdefault(prob.deleted_vertices, []).append((res.paths, mask))
+            if not prob.deleted_vertices:
+                for p in res.paths:
+                    on_path.setdefault(frozenset(p.vertices), []).append(
+                        (res.paths, mask, p)
+                    )
         out[name] = ClauseResult("holds")
 
     def q(what: str, **kw) -> tuple[PackingProblem, str]:

@@ -34,6 +34,15 @@ def test_atlas_lists_named_graphs(capsys):
     assert "Q" in out and "vertices=  8" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_atlas_output_file_equals_stdout(tmp_path, capsys, fmt):
+    out_path = tmp_path / "atlas.txt"
+    _, out, _ = run_cli(capsys, "atlas", "--format", fmt)
+    code, written, _ = run_cli(capsys, "atlas", "--format", fmt, "--output", str(out_path))
+    assert (code, written) == (EXIT_OK, "")
+    assert out_path.read_text() == out
+
+
 def test_atlas_json(capsys):
     code, out, _ = run_cli(capsys, "atlas", "--format", "json")
     rows = json.loads(out)
@@ -131,6 +140,36 @@ def test_solve_target_with_forced_edge(capsys):
     code, out, _ = run_cli(capsys, *args, "--target", "5")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == ("SAT" if best["value"] >= 5 else "UNSAT")
+
+
+DELETE_TWO = ["--delete-vertex", "0", "--delete-vertex", "1"]
+
+
+@pytest.mark.parametrize(
+    "file_mode, flags, expr, expr_flags",
+    [
+        ("FACTOR", ["--max"], "atlas(Q)", ["--max"]),
+        ("FACTOR", DELETE_TWO, "atlas(Q)", ["--factor", *DELETE_TWO]),
+        ("MAX", ["--factor"], "atlas(S)", ["--factor"]),
+        ("MAX", ["--factor"], "atlas(Q)", None),
+    ],
+)
+def test_solve_flags_apply_before_the_problem_file_is_validated(
+    tmp_path, capsys, file_mode, flags, expr, expr_flags
+):
+    """The problem is validated once, with the flags applied: a FACTOR file
+    of the 8-vertex cube solves under --max or with two vertices deleted,
+    as the same flags on --expr do, and a MAX file of it fails under
+    --factor."""
+    data = {"graph": gio.to_json_dict(dsl.build(expr)), "mode": file_mode}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    got = run_cli(capsys, "solve", "--problem", str(path), *flags)
+    if expr_flags is None:
+        assert got[0] == EXIT_PRECONDITION
+        assert "divisible by 3, got 8" in got[2]
+    else:
+        assert got == run_cli(capsys, "solve", "--expr", expr, *expr_flags)
 
 
 def test_solve_precondition_exit(capsys):
@@ -433,15 +472,26 @@ def test_export_round_trip(tmp_path, capsys):
     assert json.loads(out) == json.loads(json_path.read_text())
 
 
-def test_console_script_entry_point():
+def run_module(module):
+    """``python -m module atlas`` from this source checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lambdapack.cli", "atlas"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "atlas"],
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def test_console_script_entry_point():
+    proc = run_module("lambdapack.cli")
     assert proc.returncode == 0
+    assert "K4" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    proc = run_module("lambdapack")
+    assert (proc.returncode, proc.stdout) == (0, run_module("lambdapack.cli").stdout)
     assert "K4" in proc.stdout

@@ -76,21 +76,49 @@ def test_cubic_lower_bound_needs_no_search(n, seed):
     assert (r.verdict, r.stats.nodes, len(r.paths)) == ("SAT", 0, -(-n // 4))
 
 
-@pytest.mark.parametrize(
-    "seed, max_calls, max_nodes", [(0, 39, 355), (1, 38, 368), (2, 38, 319)]
-)
-def test_clause_battery_search_counts(seed, max_calls, max_nodes, monkeypatch):
-    """Search calls and their total nodes over the battery on a 24-vertex
-    cubic graph (775 queries), most of which the witness pool answers."""
-    searches = []
+@pytest.fixture
+def searches(monkeypatch):
+    """The node count of each search the clause battery runs."""
+    counts = []
 
     def counting_solve(*args, **kwargs):
         r = solve(*args, **kwargs)
-        searches.append(r.stats.nodes)
+        counts.append(r.stats.nodes)
         return r
 
     monkeypatch.setattr(packing, "solve", counting_solve)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "seed, max_calls, max_nodes", [(0, 39, 355), (1, 38, 368), (2, 38, 319)]
+)
+def test_clause_battery_search_counts(seed, max_calls, max_nodes, searches):
+    """Search calls and their total nodes over the battery on a 24-vertex
+    cubic graph (775 queries), most of which the witness pool answers."""
     report = residue_factor_clauses(sample_cubic(24, seed))
     assert all(r.status == "holds" for name, r in report.items() if name[0] == "z")
+    assert len(searches) <= max_calls
+    assert sum(searches) <= max_nodes
+
+
+@pytest.mark.parametrize(
+    "n, seed, max_calls, max_nodes",
+    [
+        (20, 0, 30, 197),
+        (20, 1, 30, 184),
+        (22, 0, 123, 959),
+        (22, 1, 140, 1_113),
+        (22, 2, 132, 1_008),
+    ],
+)
+def test_clause_battery_search_counts_residues_2_and_4(
+    n, seed, max_calls, max_nodes, searches
+):
+    """The same bounds for t2 (n = 20, residue 2) and f1, f2 (n = 22,
+    residue 4), whose queries delete vertices."""
+    report = residue_factor_clauses(sample_cubic(n, seed))
+    applicable = ("t2",) if n % 6 == 2 else ("f1", "f2")
+    assert all(report[name].status == "holds" for name in applicable)
     assert len(searches) <= max_calls
     assert sum(searches) <= max_nodes

@@ -10,6 +10,7 @@ import pytest
 from lambdapack import (
     Budget,
     Graph,
+    GraphError,
     LambdaPath,
     Mode,
     PackingError,
@@ -146,6 +147,80 @@ def test_forced_and_forbidden_disjoint():
 def test_loop_edge_is_a_packing_error(field):
     with pytest.raises(PackingError, match="loop edge at vertex 3"):
         PackingProblem(atlas("Q"), Mode.MAX, **{field: frozenset({(3, 3)})})
+
+
+# A 6-cycle, with three factors.
+C6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+
+
+@pytest.mark.parametrize(
+    "kw, paths, error, message",
+    [
+        ({}, [LambdaPath(5, 0, 6)], GraphError, "vertex 6 out of range for n=6"),
+        (
+            {"deleted_vertices": frozenset({0, 1, 2})},
+            [LambdaPath(0, 1, 2)],
+            PackingError,
+            "path LambdaPath(u=0, v=1, w=2) uses deleted vertex 0",
+        ),
+        (
+            {},
+            [LambdaPath(0, 1, 2), LambdaPath(2, 3, 4)],
+            PackingError,
+            "vertex 2 covered twice",
+        ),
+        (
+            {},
+            [LambdaPath(0, 1, 3)],
+            PackingError,
+            "path LambdaPath(u=0, v=1, w=3) uses a non-edge (1, 3)",
+        ),
+        (
+            {"deleted_edges": frozenset({(1, 2)})},
+            [LambdaPath(0, 1, 2)],
+            PackingError,
+            "path LambdaPath(u=0, v=1, w=2) uses a deleted/forbidden edge (1, 2)",
+        ),
+        (
+            {"forbidden_edges": frozenset({(0, 1)})},
+            [LambdaPath(0, 1, 2)],
+            PackingError,
+            "path LambdaPath(u=0, v=1, w=2) uses a deleted/forbidden edge (0, 1)",
+        ),
+        (
+            {"forced_edges": frozenset({(2, 3), (0, 5)})},
+            [LambdaPath(0, 1, 2), LambdaPath(3, 4, 5)],
+            PackingError,
+            "forced edges not covered: [(0, 5), (2, 3)]",
+        ),
+        (
+            {"mode": Mode.FACTOR},
+            [LambdaPath(0, 1, 2)],
+            PackingError,
+            "factor misses vertices [3, 4, 5]",
+        ),
+    ],
+)
+def test_check_packing_rejections(kw, paths, error, message):
+    problem = PackingProblem(C6, **{"mode": Mode.MAX, **kw})
+    with pytest.raises(ValueError) as exc:
+        check_packing(problem, paths)
+    assert (exc.type, str(exc.value)) == (error, message)
+
+
+def test_check_packing_accepts_valid_witnesses():
+    pair = [LambdaPath(0, 1, 2), LambdaPath(3, 4, 5)]
+    check_packing(PackingProblem(C6, Mode.FACTOR), pair)
+    check_packing(PackingProblem(C6, Mode.FACTOR, forced_edges=frozenset({(2, 3)})),
+                  iter([LambdaPath(1, 2, 3), LambdaPath(0, 5, 4)]))
+    check_packing(PackingProblem(C6, Mode.MAX), [])
+    check_packing(PackingProblem(C6, Mode.MAX, deleted_vertices=frozenset({0})),
+                  [LambdaPath(2, 3, 4)])
+    check_packing(
+        PackingProblem(C6, Mode.MAX, deleted_edges=frozenset({(1, 2)}),
+                       forbidden_edges=frozenset({(4, 5)})),
+        [LambdaPath(2, 3, 4)],
+    )
 
 
 def test_budget_yields_indeterminate():
