@@ -7,11 +7,12 @@ byte-identical across identical invocations: volatile quantities (wall
 time) never appear in it, only deterministic ones (node counts).
 
 Exit codes, each decided by ``main`` from the error class: 0 success;
-2 parse/input error (``OSError``, ``ParseError``, ``GraphError``);
-3 precondition violation (``ConstructionError``, ``PackingError``,
-``CertificateError``); 4 budget exhausted (an INDETERMINATE search, or a
-``ReplayError`` without a cause); 5 a claimed fact was refuted
-(``FactRefuted``, a failed certificate check or bound test).  A
+2 parse/input error (``OSError``, ``UnicodeError``, ``ParseError``,
+``GraphError``); 3 precondition violation (``ConstructionError``,
+``PackingError``, ``CertificateError``); 4 budget exhausted (an
+INDETERMINATE search, or a ``ReplayError`` without a cause); 5 a claimed
+fact was refuted (``FactRefuted``, a failed certificate check, or a bound
+test that an exhaustive search refuted).  A
 ``ReplayError`` with a cause gets the code of its cause.
 
 Budgets default to those of ``Budget()`` (1e8 nodes / 600 s) and can be
@@ -267,8 +268,10 @@ def _cmd_checkcert(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n % 2 != 0 or args.n < 4:
         raise _CliError("cubic sampling needs even n >= 4", EXIT_PRECONDITION)
+    if args.count < 0:
+        raise _CliError("--count must be >= 0", EXIT_PRECONDITION)
     results = []
-    violations = 0
+    violations = undecided = 0
     for i in range(args.count):
         g = sample_cubic(args.n, args.seed + i)
         row: dict = {"seed": args.seed + i, "vertices": g.n, "edges": g.m}
@@ -279,8 +282,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             )
             row["bound"] = need
             row["satisfied"] = res.verdict == "SAT"
-            if res.verdict != "SAT":
-                violations += 1
+            # only an exhaustive search refutes the bound
+            violations += res.verdict == "UNSAT"
+            undecided += res.verdict == "INDETERMINATE"
         results.append(row)
     payload = {
         "n": args.n,
@@ -289,8 +293,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "violations": violations,
         "samples": results,
     }
+    if undecided:
+        print(
+            f"{undecided} of {args.count} bound searches ran out of budget",
+            file=sys.stderr,
+        )
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return EXIT_REFUTED if violations else EXIT_OK
+    if violations:
+        return EXIT_REFUTED
+    return EXIT_BUDGET if undecided else EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (cert_mod.FactRefuted, EXIT_REFUTED),
     ((ConstructionError, PackingError, cert_mod.CertificateError), EXIT_PRECONDITION),
-    ((OSError, dsl.ParseError, GraphError), EXIT_PARSE),
+    ((OSError, UnicodeError, dsl.ParseError, GraphError), EXIT_PARSE),
 )
 
 

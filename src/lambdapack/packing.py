@@ -58,7 +58,10 @@ set and the problem's own sets, not the search's adjacency masks.
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
 nearly all satisfiable; it answers each from the factors it has already
 found when one fits, by bitmask tests on edge sets and a dict lookup on
-deleted vertex sets, and searches only the rest.
+deleted vertex sets, or, for a query that only deletes vertices, by path
+exchange: a found factor less the paths that meet the deleted vertices,
+with the hole left re-covered by one or two paths.  It searches only the
+rest.
 """
 
 from __future__ import annotations
@@ -611,7 +614,8 @@ class _Engine:
         pieces.sort(key=lambda c: c & -c)
         return self._split(rest, slack, forced, deg, pieces)
 
-    # -- greedy witness (target= first; the lower bound when a budget runs out)
+    # -- witnesses built without a search: greedy (target= first, and the
+    # lower bound when a budget runs out) and the battery's hole cover
 
     def greedy(self, forced: tuple[Edge, ...]) -> list[Triple] | None:
         """A packing built without backtracking, or None when some forced
@@ -641,6 +645,25 @@ class _Engine:
             else:
                 free &= ~(1 << v)
         return out
+
+    def cover_hole(self, hole: int) -> list[Triple] | None:
+        """One or two paths that cover exactly the vertices of ``hole``, or
+        None when none do or the hole has more than 6 vertices.  Each path
+        through the hole's lowest vertex is tried, and the 3 vertices it
+        leaves must form a path.  It costs no search node."""
+        if not hole:
+            return []
+        if hole.bit_count() > 6:
+            return None
+        for path in self._paths_covering((hole & -hole).bit_length() - 1, hole):
+            rest = hole & ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+            if not rest:
+                return [path]
+            low = (rest & -rest).bit_length() - 1
+            last = next(self._paths_covering(low, rest), None)
+            if last is not None:
+                return [path, last]
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -844,11 +867,21 @@ def residue_factor_clauses(
     edges (edge sets are compared as bitmasks), or, when the deleted
     vertices are the vertex set of a path of a factor of G, that factor
     less that path (a factor of G - V(p)), found by a dict lookup on the
-    vertex set.  A reused factor is
-    re-checked by :func:`check_packing` and costs no search node.  Only the
-    other queries are searched, each under its own ``budget``, so every
-    "fails" and "indeterminate" comes from a search, on the same query as
-    without the pool.
+    vertex set.  A query that deletes vertices D and has no edge
+    constraint (t2, f1, and z5 when the lookup misses) then tries path
+    exchange on each factor W of G - D_W found so far, newest first: W
+    less its paths that meet D leaves the hole (D_W and the dropped
+    vertices) - D uncovered, and when the hole has at most 6 vertices and
+    one or two paths of G cover it exactly, W with those paths in place of
+    the dropped ones is a factor of G - D.  The hole is filled by a
+    closed-form check (``_Engine.cover_hole``), not a search.  A reused or
+    exchanged factor is re-checked by :func:`check_packing`, costs no
+    search node, and is kept for later queries.  Only the other queries are
+    searched, each under its own ``budget``, so every "fails" comes from a
+    search, on the same query as without the pool, and so does every
+    "indeterminate"; a query answered without a search spends no budget,
+    so under a small budget a clause may hold where a search of each
+    query would have run out.
     """
     if not is_cubic(g):
         raise PackingError("predicate battery expects a cubic graph")
@@ -857,10 +890,15 @@ def residue_factor_clauses(
     out = dict.fromkeys(_CLAUSES, ClauseResult("n/a"))
     edges = g.sorted_edges()
     bit = {e: 1 << i for i, e in enumerate(edges)}
+    full = (1 << g.n) - 1
+    engine = _Engine(PackingProblem(g, Mode.MAX), budget)
     # deleted vertices -> (factor, mask of its edges), every factor found so far
     pool: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int]]] = {}
     # vertex set of a path -> (factor of G, mask of its edges, that path)
     on_path: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int, LambdaPath]]] = {}
+    # every factor found so far, oldest first: (mask of its deleted
+    # vertices, the factor, the path of the factor at each vertex)
+    factors: list[tuple[int, tuple[LambdaPath, ...], list[LambdaPath | None]]] = []
 
     def mask_of(es: Iterable[Edge]) -> int:
         mask = 0
@@ -888,9 +926,42 @@ def residue_factor_clauses(
                 return True
         return False
 
+    def exchanged(prob: PackingProblem) -> bool:
+        """Path exchange for a query that only deletes vertices: True when
+        it made a factor of the query, which is re-checked and kept."""
+        dead = prob.deleted_vertices
+        if not dead or prob.deleted_edges or prob.forbidden_edges or prob.forced_edges:
+            return False
+        gone = full ^ prob.alive_mask
+        for missing, paths, at in reversed(factors):
+            drop = {at[v] for v in dead} - {None}
+            hole = missing
+            for p in drop:
+                hole |= p.mask
+            fill = engine.cover_hole(hole & ~gone)
+            if fill is not None:
+                paths = tuple(p for p in paths if p not in drop)
+                paths += tuple(LambdaPath.of(*t) for t in fill)
+                check_packing(prob, paths)
+                keep(prob, paths)
+                return True
+        return False
+
+    def keep(prob: PackingProblem, paths: tuple[LambdaPath, ...]) -> None:
+        mask = edge_mask(paths)
+        dead = prob.deleted_vertices
+        pool.setdefault(dead, []).append((paths, mask))
+        if not dead:
+            for p in paths:
+                on_path.setdefault(frozenset(p.vertices), []).append((paths, mask, p))
+        at: list[LambdaPath | None] = [None] * g.n
+        for p in paths:
+            at[p.u] = at[p.v] = at[p.w] = p
+        factors.append((full ^ prob.alive_mask, paths, at))
+
     def decide(name: str, queries: Iterable[tuple[PackingProblem, str]]) -> None:
         for prob, what in queries:
-            if pooled(prob):
+            if pooled(prob) or exchanged(prob):
                 continue
             res = solve(prob, budget)
             if res.verdict == "INDETERMINATE":
@@ -899,13 +970,7 @@ def residue_factor_clauses(
             if res.verdict != "SAT":
                 out[name] = ClauseResult("fails", what)
                 return
-            mask = edge_mask(res.paths)
-            pool.setdefault(prob.deleted_vertices, []).append((res.paths, mask))
-            if not prob.deleted_vertices:
-                for p in res.paths:
-                    on_path.setdefault(frozenset(p.vertices), []).append(
-                        (res.paths, mask, p)
-                    )
+            keep(prob, res.paths)
         out[name] = ClauseResult("holds")
 
     def q(what: str, **kw) -> tuple[PackingProblem, str]:

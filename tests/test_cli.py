@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lambdapack import dsl, io as gio
+from lambdapack import cli, dsl, io as gio
 from lambdapack.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -19,6 +19,7 @@ from lambdapack.cli import (
     main,
 )
 from lambdapack.graph import Graph
+from lambdapack.packing import PackingResult, SolveStats
 from lambdapack.pipeline import DEFAULT_SCRIPT
 
 
@@ -449,6 +450,59 @@ def test_sample_fifty_of_fifty_meet_the_bound(capsys):
     assert data["violations"] == 0
     assert sum(1 for row in data["samples"] if row["satisfied"]) == 50
     assert all(row["bound"] == 4 for row in data["samples"])
+
+
+def test_sample_bound_search_out_of_budget_is_no_violation(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "-n", "60", "--seed", "1", "--test-bound", "--budget-nodes", "0"
+    )
+    assert code == EXIT_BUDGET
+    data = json.loads(out)
+    assert data["violations"] == 0
+    assert [row["satisfied"] for row in data["samples"]] == [False]
+    assert "1 of 1 bound searches ran out of budget" in err
+
+
+def test_sample_unsat_bound_search_is_a_violation(capsys, monkeypatch):
+    """Only an exhaustive search refutes the bound, and a refutation
+    outranks a search that ran out of budget."""
+    verdicts = iter(["UNSAT", "INDETERMINATE", "SAT"])
+
+    def fake_solve(problem, budget, target):
+        return PackingResult(next(verdicts), None, None, SolveStats())
+
+    monkeypatch.setattr(cli, "solve", fake_solve)
+    code, out, _ = run_cli(
+        capsys, "sample", "-n", "8", "--count", "3", "--seed", "1", "--test-bound"
+    )
+    assert code == EXIT_REFUTED
+    data = json.loads(out)
+    assert data["violations"] == 1
+    assert [row["satisfied"] for row in data["samples"]] == [False, False, True]
+
+
+def test_sample_negative_count_is_precondition(capsys):
+    code, out, err = run_cli(capsys, "sample", "-n", "8", "--count", "-2", "--seed", "1")
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == "error: --count must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-cert", "{file}"),
+        ("check", "--input", "{file}"),
+        ("check", "--script", "{file}"),
+        ("solve", "--problem", "{file}"),
+        ("certify", "--pipeline", "{file}"),
+    ],
+)
+def test_input_file_that_is_not_utf8_is_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("error: ")
 
 
 def test_sample_seed_determinism(capsys):

@@ -122,3 +122,28 @@ def test_clause_battery_search_counts_residues_2_and_4(
     assert all(report[name].status == "holds" for name in applicable)
     assert len(searches) <= max_calls
     assert sum(searches) <= max_nodes
+
+
+@pytest.mark.parametrize(
+    "n, seed, max_calls, max_nodes",
+    [
+        (20, 0, 5, 32),
+        (20, 1, 10, 62),
+        (26, 0, 11, 94),
+        (32, 0, 16, 227),
+        (22, 0, 105, 826),
+        (22, 1, 118, 959),
+        (22, 2, 119, 916),
+    ],
+)
+def test_clause_battery_search_counts_with_path_exchange(
+    n, seed, max_calls, max_nodes, searches
+):
+    """Path exchange answers most t2 (n = 20, 26, 32) and f1 (n = 22)
+    queries from a factor found for another query, so fewer are searched
+    than the bounds above allow."""
+    report = residue_factor_clauses(sample_cubic(n, seed))
+    applicable = ("t2",) if n % 6 == 2 else ("f1", "f2")
+    assert all(report[name].status == "holds" for name in applicable)
+    assert len(searches) <= max_calls
+    assert sum(searches) <= max_nodes

@@ -3,10 +3,12 @@
 import pytest
 
 from lambdapack import (
+    Budget,
     Mode,
     PackingError,
     PackingProblem,
     atlas,
+    check_packing,
     enumerate_paths,
     packing,
     residue_factor_clauses,
@@ -109,10 +111,13 @@ def test_cube_residue_2():
 
 
 def test_battery_matches_one_search_per_query():
-    """Answers drawn from the witness pool change no status and no detail,
-    on graphs of each residue where clauses hold and where they fail."""
+    """Answers drawn from the witness pool or made by path exchange change
+    no status and no detail, on graphs of each residue where clauses hold
+    and where they fail."""
     seen = set()
-    for n, seed in [(18, 0), (18, 4), (20, 0), (20, 2), (22, 0), (24, 0)]:
+    cases = [(18, 0), (18, 4), (20, 0), (20, 2), (22, 0), (22, 1), (24, 0)]
+    cases += [(26, 0), (26, 1), (32, 0)]
+    for n, seed in cases:
         g = sample_cubic(n, seed)
         expected = reference_clauses(g)
         assert statuses(residue_factor_clauses(g)) == expected, (n, seed)
@@ -120,11 +125,64 @@ def test_battery_matches_one_search_per_query():
     assert seen == {"holds", "fails", "n/a"}
 
 
-@pytest.mark.parametrize("n, seed", [(18, 0), (22, 0), (24, 0)])
+@pytest.mark.parametrize("n, seed, nodes", [(20, 0, 10), (22, 1, 10)])
+def test_battery_under_a_node_budget(n, seed, nodes):
+    """A query answered without a search costs no budget, so where the
+    one-search-per-query reference runs out of budget the battery may go
+    on.  Each status is then the reference's, or the unbudgeted answer, or
+    "indeterminate" on a query whose own search runs out of the budget."""
+    g = sample_cubic(n, seed)
+    budget = Budget(max_nodes=nodes)
+    budgeted = reference_clauses(g, lambda prob: solve(prob, budget))
+    exact = reference_clauses(g)
+    queries = {what: prob for qs in clause_queries(g).values() for prob, what in qs}
+    got = statuses(residue_factor_clauses(g, budget))
+    for name, (status, what) in got.items():
+        if budgeted[name][0] != "indeterminate":
+            assert (status, what) == budgeted[name], name
+        elif status == "indeterminate":
+            assert solve(queries[what], budget).verdict == "INDETERMINATE", name
+        else:
+            assert (status, what) == exact[name], name
+    assert "indeterminate" in {status for status, _ in budgeted.values()}
+
+
+@pytest.mark.parametrize("n, seed", [(18, 4), (20, 0), (22, 1), (24, 0), (26, 0)])
+def test_every_query_not_searched_is_rechecked(n, seed, monkeypatch):
+    """Each query the battery asks is searched or answered by a factor
+    that :func:`check_packing` re-checks; a SAT search re-checks its own
+    witness."""
+    g = sample_cubic(n, seed)
+    reference = reference_clauses(g)
+    asked = 0
+    for name, qs in clause_queries(g).items():
+        whats = [what for _, what in qs]
+        status, what = reference[name]
+        asked += whats.index(what) + 1 if status == "fails" else len(whats)
+    checks, verdicts = [], []
+
+    def counting_check(*args, **kwargs):
+        checks.append(args[0])
+        return check_packing(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        verdicts.append(res.verdict)
+        return res
+
+    monkeypatch.setattr(packing, "check_packing", counting_check)
+    monkeypatch.setattr(packing, "solve", counting_solve)
+    residue_factor_clauses(g)
+    assert len(checks) == asked - len(verdicts) + verdicts.count("SAT")
+    assert len(verdicts) < asked
+
+
+@pytest.mark.parametrize("n, seed", [(18, 0), (20, 0), (22, 0), (24, 0), (26, 0)])
 def test_battery_searches_fewer_queries_than_it_asks(n, seed, monkeypatch):
     """Residues 0 and 4 ask many queries with the same deleted vertices, and
-    most are answered from factors found before.  (Every t2 query deletes
-    different vertices, so residue 2 searches each one.)"""
+    most are answered from factors found before.  Every t2 query (residue
+    2) deletes different vertices; most of them are answered by path
+    exchange from a factor found for another query."""
     g = sample_cubic(n, seed)
     asked = sum(len(qs) for qs in clause_queries(g).values())
     calls = []
