@@ -11,19 +11,24 @@ of query over a :class:`PackingProblem`:
 * ``target=k`` (MAX mode) -- is there a packing of at least k paths?
   Returns SAT with a witness of exactly k paths, or UNSAT.
 
-``target=k`` first tries a witness phase: a greedy packing that covers the
-forced edges and then the lowest-id free vertex each time, built without
-backtracking and at no search node.  When it reaches k paths it is the
-answer; otherwise the exact search below runs as if greedy had not.  The
-same greedy packing is the lower bound a MAX search reports when its
-budget runs out.
+All of them ask one question: find a packing of the free vertices that
+leaves at most ``slack`` of them uncovered and covers every forced edge.
+FACTOR is slack 0; ``target=k`` is slack live - 3k; MAX starts at the
+residue bound, the sum over components of (size mod 3), and raises the
+slack by 3 until it is met, so the first success is optimal.
+:func:`enumerate_factors` is a client of ``solve``.
 
-All of them run one depth-first search: find a packing of the free
-vertices that leaves at most ``slack`` of them uncovered and covers every
-forced edge.  FACTOR is slack 0; ``target=k`` is slack live - 3k; MAX
-starts at the residue bound, the sum over components of (size mod 3),
-and raises the slack by 3 until the search succeeds, so the first success
-is optimal.  :func:`enumerate_factors` is a client of ``solve``.
+Every mode first tries a witness phase: a greedy packing that covers the
+forced edges and then the lowest-id free vertex each time, built without
+backtracking and at no search node, which gives up as soon as it has
+dropped more than ``slack`` vertices.  When it meets the mode's first
+slack (for MAX the residue bound, a lower bound on the uncovered vertices
+of any packing, so the greedy packing is optimal; for ``target=k`` it
+stops at k paths) it is the answer; otherwise the exact depth-first search
+below runs as if greedy had not.  So every UNSAT, and every node count of
+a query greedy misses, comes from the search alone.  Greedy with the
+slack of all live vertices is the lower bound a MAX search reports when
+its budget runs out.
 
 The search is deterministic.  Paths through an unsatisfied forced edge
 come first; otherwise it branches on a vertex with at most one candidate
@@ -211,8 +216,16 @@ class PackingResult:
 
 @dataclass(frozen=True)
 class Budget:
+    """Search limits; each must be a number >= 0 (``max_seconds`` may be inf)."""
+
     max_nodes: int = 100_000_000
     max_seconds: float = 600.0
+
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_seconds"):
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects nan
+                raise PackingError(f"budget {name} must be >= 0, got {value}")
 
 
 class _BudgetExceeded(Exception):
@@ -614,15 +627,24 @@ class _Engine:
         pieces.sort(key=lambda c: c & -c)
         return self._split(rest, slack, forced, deg, pieces)
 
-    # -- witnesses built without a search: greedy (target= first, and the
-    # lower bound when a budget runs out) and the battery's hole cover
+    # -- witnesses built without a search: greedy (the witness phase of
+    # every mode, and the lower bound when a budget runs out) and the
+    # battery's hole cover
 
-    def greedy(self, forced: tuple[Edge, ...]) -> list[Triple] | None:
-        """A packing built without backtracking, or None when some forced
-        edge cannot be covered: each forced edge not yet covered takes its
-        first candidate path, then the lowest-id free vertex takes its first
-        candidate path or is dropped.  It costs no search node."""
+    def greedy(
+        self, forced: tuple[Edge, ...], slack: int, paths: int | None = None
+    ) -> list[Triple] | None:
+        """The contract of ``search`` over all live vertices, met without
+        backtracking: a packing that covers every forced edge and leaves at
+        most ``slack`` live vertices uncovered, or None when greedy misses.
+
+        Each forced edge not yet covered takes its first candidate path;
+        then the lowest-id free vertex takes its first candidate path, or is
+        dropped, which returns None as soon as more than ``slack`` are.  It
+        stops once it holds ``paths`` paths, and costs no search node.
+        """
         free = self.alive_mask
+        live = free.bit_count()
         out: list[Triple] = []
         covered: set[Edge] = set()
         for u, v in forced:
@@ -636,15 +658,38 @@ class _Engine:
             out.append(path)
             covered.update(LambdaPath.of(*path).edges)
             free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
-        while free:
-            v = (free & -free).bit_length() - 1
-            path = min(self._paths_covering(v, free), default=None)
-            if path is not None:
-                out.append(path)
-                free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
-            else:
-                free &= ~(1 << v)
-        return out
+        adj = self.adj
+        dropped = 0
+        while free and (paths is None or len(out) < paths):
+            low = free & -free
+            v = low.bit_length() - 1
+            # v is the lowest free vertex, so the least candidate path is
+            # (v, c, w) for the lowest neighbour c that has another free
+            # neighbour, w the lowest of those; else (a, v, b) for v's two
+            # lowest neighbours
+            nbrs = adj[v] & free
+            path = None
+            rest = nbrs
+            while rest:
+                c = rest & -rest
+                rest ^= c
+                far = adj[c.bit_length() - 1] & free & ~low
+                if far:
+                    path = (low, c, far & -far)
+                    break
+            if path is None and nbrs & (nbrs - 1):
+                second = nbrs & (nbrs - 1)
+                path = (nbrs & -nbrs, low, second & -second)
+            if path is None:
+                free ^= low
+                dropped += 1
+                if dropped > slack:
+                    return None
+                continue
+            a, b, c = path
+            out.append((a.bit_length() - 1, b.bit_length() - 1, c.bit_length() - 1))
+            free &= ~(a | b | c)
+        return out if live - 3 * len(out) <= slack else None
 
     def cover_hole(self, hole: int) -> list[Triple] | None:
         """One or two paths that cover exactly the vertices of ``hole``, or
@@ -677,55 +722,58 @@ def solve(
     seams: object = (),
     target: int | None = None,
 ) -> PackingResult:
-    """Run the exact search for a problem; see the module docstring.
+    """Answer a problem; see the module docstring.
 
+    The budget is read once before any work, then greedy runs at the
+    mode's slack (FACTOR 0, MAX the residue bound, ``target=k`` live - 3k
+    and at most k paths); the exact search runs only when greedy misses.
     ``target`` (MAX mode only, >= 0) asks for any packing of size >= target and
     returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
-    ``target`` paths, unless the paths covering forced edges outnumber it;
-    it comes from greedy, at 0 nodes, when greedy reaches ``target``.
+    ``target`` paths, unless the paths covering forced edges outnumber it.
     ``seams`` is accepted and ignored: the search finds every split of the
     graph itself, so cut annotations add nothing.
     """
+    if target is not None:
+        if problem.mode == Mode.FACTOR:
+            raise PackingError("target applies to MAX mode only")
+        if target < 0:
+            raise PackingError("target must be >= 0")
     budget = budget or Budget()
     engine = _Engine(problem, budget)
     alive = engine.alive_mask
     live = alive.bit_count()
     forced = tuple(sorted(problem.forced_edges))
     try:
+        engine._check_budget()
+        # witness phase: greedy first, at the slack of the mode's search
         if problem.mode == Mode.FACTOR:
-            if target is not None:
-                raise PackingError("target applies to MAX mode only")
-            wit = engine.search(alive, 0, forced)
+            wit = engine.greedy(forced, 0)
+            if wit is None:
+                wit = engine.search(alive, 0, forced)
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
         if target is not None:
-            if target < 0:
-                raise PackingError("target must be >= 0")
-            # witness phase: the search runs only when greedy falls short
-            engine._check_budget()
-            wit = engine.greedy(forced)
-            if wit is None or len(wit) < target:
-                wit = None
-                if 3 * target <= live:
-                    wit = engine.search(alive, live - 3 * target, forced)
-            if wit is not None and forced:
-                # keep every path on a forced edge, then fill up to ``target``
-                edges = problem.forced_edges
-                on_forced = [p for p in wit if set(LambdaPath.of(*p).edges) & edges]
-                others = [p for p in wit if p not in on_forced]
-                wit = on_forced + others[: max(0, target - len(on_forced))]
-            elif wit is not None:
-                wit = wit[:target]
+            wit = engine.greedy(forced, live - 3 * target, target)
+            if wit is None and 3 * target <= live:
+                wit = engine.search(alive, live - 3 * target, forced)
+                if wit is not None and forced:
+                    # keep every path on a forced edge, then fill up to ``target``
+                    edges = problem.forced_edges
+                    on_forced = [p for p in wit if set(LambdaPath.of(*p).edges) & edges]
+                    others = [p for p in wit if p not in on_forced]
+                    wit = on_forced + others[: max(0, target - len(on_forced))]
+                elif wit is not None:
+                    wit = wit[:target]
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
-        # MAX: the least slack that succeeds gives the optimum
+        # MAX: the least slack that succeeds gives the optimum, and no
+        # packing leaves fewer vertices uncovered than the residue bound
         slack = sum(c.bit_count() % 3 for c in engine._components(alive))
-        while slack <= live:
+        wit = engine.greedy(forced, slack)
+        while wit is None and slack <= live:
             wit = engine.search(alive, slack, forced)
-            if wit is not None:
-                return _finish(problem, engine, "OPTIMUM", wit)
             slack += 3
-        return _finish(problem, engine, "UNSAT", None)
+        return _finish(problem, engine, "OPTIMUM" if wit is not None else "UNSAT", wit)
     except _BudgetExceeded:
-        wit = engine.greedy(forced) if problem.mode == Mode.MAX else None
+        wit = engine.greedy(forced, live) if problem.mode == Mode.MAX else None
         return _finish(problem, engine, "INDETERMINATE", wit)
 
 
@@ -768,7 +816,7 @@ def enumerate_factors(
     parts = [problem]
     while parts:
         part = parts.pop()
-        res = solve(part, Budget(nodes, deadline - time.monotonic()))
+        res = solve(part, Budget(nodes, max(0.0, deadline - time.monotonic())))
         if res.verdict == "INDETERMINATE":
             raise PackingError("factor enumeration exceeded its budget")
         nodes -= res.stats.nodes

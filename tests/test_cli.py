@@ -215,6 +215,18 @@ def test_zero_second_budget_is_honoured(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--budget-seconds", "nan"), ("--budget-seconds", "-1"), ("--budget-nodes", "-5")],
+)
+def test_invalid_budget_is_a_precondition_error(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "atlas(Q)", "--max", flag, value
+    )
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: budget max_") and "must be >= 0" in err
+
+
+@pytest.mark.parametrize(
     "flag, note", [("--budget-nodes", "node"), ("--budget-seconds", "time")]
 )
 def test_zero_budget_is_honoured_for_target(capsys, flag, note):

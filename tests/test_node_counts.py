@@ -9,7 +9,15 @@ import functools
 
 import pytest
 
-from lambdapack import Budget, Mode, PackingProblem, packing, residue_factor_clauses, solve
+from lambdapack import (
+    Budget,
+    Graph,
+    Mode,
+    PackingProblem,
+    packing,
+    residue_factor_clauses,
+    solve,
+)
 from lambdapack.pipeline import family
 from lambdapack.sampling import sample_cubic
 
@@ -74,6 +82,24 @@ def test_cubic_lower_bound_needs_no_search(n, seed):
     """Greedy alone reaches ceil(n/4) paths on these cubic graphs."""
     r = solve(PackingProblem(sample_cubic(n, seed), Mode.MAX), target=-(-n // 4))
     assert (r.verdict, r.stats.nodes, len(r.paths)) == ("SAT", 0, -(-n // 4))
+
+
+def long_path(n, swap):
+    """P_n in path order, or with labels 0 and 1 swapped (1-0-2-3-...)."""
+    label = [1, 0, *range(2, n)] if swap else list(range(n))
+    return Graph.from_edges(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize(
+    "swap, max_nodes", [(False, 0), (True, 1_000)], ids=["path-order", "swapped"]
+)
+@pytest.mark.parametrize("mode", [Mode.FACTOR, Mode.MAX])
+def test_long_path_node_counts(swap, max_nodes, mode):
+    """Greedy answers P_3000 FACTOR and MAX at 0 nodes; when it strands the
+    swapped path's end vertex the search places one path per node."""
+    r = solve(PackingProblem(long_path(3000, swap), mode))
+    assert r.verdict == ("SAT" if mode == Mode.FACTOR else "OPTIMUM")
+    assert r.stats.nodes <= max_nodes
 
 
 @pytest.fixture

@@ -305,19 +305,97 @@ def test_greedy_target_witness_keeps_forced_paths():
     assert len(r.paths) == 1 and edge in r.paths[0].edges
 
 
-def test_long_path_has_no_depth_limit():
-    """One frame per placed path would exceed Python's recursion limit here."""
-    n = 3000
-    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    unique = tuple(LambdaPath(i, i + 1, i + 2) for i in range(0, n, 3))
-    results = [
+def _long_path_results(path):
+    n = path.n
+    return [
         solve(PackingProblem(path, Mode.FACTOR)),
         solve(PackingProblem(path, Mode.MAX)),
         solve(PackingProblem(path, Mode.MAX), target=n // 3),
     ]
+
+
+def test_long_path_has_no_depth_limit():
+    """One frame per placed path would exceed Python's recursion limit here;
+    with labels in path order greedy answers every mode without a frame."""
+    n = 3000
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    unique = tuple(LambdaPath(i, i + 1, i + 2) for i in range(0, n, 3))
+    results = _long_path_results(path)
     assert [r.verdict for r in results] == ["SAT", "OPTIMUM", "SAT"]
     for r in results:
         assert r.paths == unique and r.value == n // 3
+        assert r.stats.nodes == 0
+
+
+def test_long_path_search_has_no_depth_limit():
+    """The same path with labels 0 and 1 swapped: greedy takes 0-2-3 and
+    strands the end vertex 1, so every mode runs the search, one frame per
+    placed path, 1,000 deep."""
+    n = 3000
+    label = [1, 0, *range(2, n)]
+    path = Graph.from_edges(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+    unique = (LambdaPath(1, 0, 2),) + tuple(
+        LambdaPath(i, i + 1, i + 2) for i in range(3, n, 3)
+    )
+    results = _long_path_results(path)
+    assert [r.verdict for r in results] == ["SAT", "OPTIMUM", "SAT"]
+    for r in results:
+        assert r.paths == unique and r.value == n // 3
+        assert r.stats.nodes >= n // 3
+
+
+def _reference_greedy(engine, free):
+    """The reference greedy: the least canonical candidate path through the
+    lowest free vertex, found by listing every candidate."""
+    out = []
+    while free:
+        v = (free & -free).bit_length() - 1
+        path = min(engine._paths_covering(v, free), default=None)
+        if path is None:
+            free &= ~(1 << v)
+        else:
+            out.append(path)
+            free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+    return out
+
+
+@pytest.mark.parametrize("sample", [sample_cubic, sample_subcubic])
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_takes_the_least_candidate_path(sample, seed):
+    """Greedy's pick from the lowest free vertex's neighbourhood is the least
+    canonical candidate, so its packings (and the target= witnesses cut from
+    them) equal those of a greedy that lists every candidate."""
+    rng = random.Random(seed)
+    for n in (18, 30, 46, 64):
+        g = sample(n, seed)
+        edges = g.sorted_edges()
+        for _ in range(4):
+            picked = rng.sample(edges, min(len(edges), 4))
+            problem = PackingProblem(
+                g,
+                Mode.MAX,
+                deleted_vertices=frozenset(rng.sample(range(n), rng.randrange(4))),
+                deleted_edges=frozenset(picked[:2]),
+                forbidden_edges=frozenset(picked[2:]),
+            )
+            engine = packing._Engine(problem, Budget())
+            live = engine.alive_mask.bit_count()
+            expected = _reference_greedy(engine, engine.alive_mask)
+            assert engine.greedy((), live) == expected
+            check_packing(problem, [LambdaPath.of(*t) for t in expected])
+
+
+def test_greedy_gives_up_past_its_slack():
+    """On the swapped-label P_6 (1-0-2-3-4-5) greedy takes 0-2-3, 4-5 is
+    left with no path and vertex 1 is stranded: 3 vertices uncovered."""
+    path = Graph.from_edges(6, [(1, 0), (0, 2), (2, 3), (3, 4), (4, 5)])
+    engine = packing._Engine(PackingProblem(path, Mode.MAX), Budget())
+    assert engine.greedy((), 3) == [(0, 2, 3)]
+    assert engine.greedy((), 2) is None
+    assert engine.greedy((), 0) is None
+    assert engine.greedy((), 6, paths=0) == []
+    # greedy's miss leaves the answer to the search
+    assert solve(PackingProblem(path, Mode.FACTOR)).verdict == "SAT"
 
 
 def test_deterministic_witness():
@@ -468,6 +546,34 @@ def test_enumerate_factors_streams_at_any_size():
     # the first factor costs one solve; 60 live vertices are past the old cap
     problem = PackingProblem(sample_cubic(60, 1), Mode.FACTOR)
     check_packing(problem, next(enumerate_factors(problem)))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"max_nodes": -5},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},
+        {"max_nodes": float("nan")},
+    ],
+)
+def test_invalid_budget_is_a_packing_error(kw):
+    with pytest.raises(PackingError, match="must be >= 0"):
+        Budget(**kw)
+
+
+def test_unbounded_and_zero_budgets_are_valid():
+    Budget(max_nodes=0, max_seconds=0.0)
+    r = solve(PackingProblem(atlas("Q"), Mode.MAX), Budget(max_seconds=float("inf")))
+    assert (r.verdict, r.value) == ("OPTIMUM", 2)
+
+
+def test_enumerate_factors_spent_time_budget_is_indeterminate():
+    """A deadline already past gives the next search 0 seconds, not a
+    negative (invalid) budget."""
+    problem = PackingProblem(atlas("S"), Mode.FACTOR)
+    with pytest.raises(PackingError, match="exceeded its budget"):
+        next(enumerate_factors(problem, Budget(max_seconds=0.0)))
 
 
 def test_enumerate_factors_budget_covers_every_search():
