@@ -83,8 +83,6 @@ _KINDS: dict[str, tuple[bool, str | None]] = {
     KIND_MINUS_VERTEX_AVOIDING: (True, "forbidden_edges"),
 }
 
-FACT_KINDS = tuple(_KINDS)
-
 #: corrected readings applied by the rule engine, recorded in certificates
 NOTES = (
     "R2 reads its hypothesis as: the operand graph (not the removed vertex) "

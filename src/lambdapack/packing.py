@@ -24,11 +24,16 @@ backtracking and at no search node, which gives up as soon as it has
 dropped more than ``slack`` vertices.  When it meets the mode's first
 slack (for MAX the residue bound, a lower bound on the uncovered vertices
 of any packing, so the greedy packing is optimal; for ``target=k`` it
-stops at k paths) it is the answer; otherwise the exact depth-first search
-below runs as if greedy had not.  So every UNSAT, and every node count of
-a query greedy misses, comes from the search alone.  Greedy with the
-slack of all live vertices is the lower bound a MAX search reports when
-its budget runs out.
+stops at k paths) it is the answer.  Where a witness is expected, a second
+greedy with the same contract follows: the fewest-candidates rule of
+Knuth's Algorithm X, for ``target=k`` after the first misses, and in MAX at
+each slack s + 3 once the search has refuted s, so a hit is optimal.  It
+never runs in FACTOR, whose queries are mostly proofs of UNSAT.
+Otherwise the exact depth-first search below runs as if neither greedy
+had.  So every UNSAT, and every node count of a query the greedies miss,
+comes from the search alone.  The lowest-id greedy with the slack of all
+live vertices is the lower bound a MAX search reports when its budget
+runs out.
 
 The search is deterministic.  Paths through an unsatisfied forced edge
 come first; otherwise it branches on a vertex with at most one candidate
@@ -75,6 +80,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Generator, Iterable, Iterator
 
@@ -627,24 +633,17 @@ class _Engine:
         pieces.sort(key=lambda c: c & -c)
         return self._split(rest, slack, forced, deg, pieces)
 
-    # -- witnesses built without a search: greedy (the witness phase of
-    # every mode, and the lower bound when a budget runs out) and the
-    # battery's hole cover
+    # -- witnesses built without a search: the two greedies (the witness
+    # phases, and the lower bound when a budget runs out) and the battery's
+    # hole cover
 
-    def greedy(
-        self, forced: tuple[Edge, ...], slack: int, paths: int | None = None
-    ) -> list[Triple] | None:
-        """The contract of ``search`` over all live vertices, met without
-        backtracking: a packing that covers every forced edge and leaves at
-        most ``slack`` live vertices uncovered, or None when greedy misses.
-
-        Each forced edge not yet covered takes its first candidate path;
-        then the lowest-id free vertex takes its first candidate path, or is
-        dropped, which returns None as soon as more than ``slack`` are.  It
-        stops once it holds ``paths`` paths, and costs no search node.
-        """
+    def _cover_forced(
+        self, forced: tuple[Edge, ...]
+    ) -> tuple[list[Triple], int] | None:
+        """The greedies' first step: each forced edge not yet covered takes
+        its least candidate path.  Returns those paths and the free vertices
+        they leave, or None when an edge has no candidate."""
         free = self.alive_mask
-        live = free.bit_count()
         out: list[Triple] = []
         covered: set[Edge] = set()
         for u, v in forced:
@@ -658,6 +657,25 @@ class _Engine:
             out.append(path)
             covered.update(LambdaPath.of(*path).edges)
             free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+        return out, free
+
+    def greedy(
+        self, forced: tuple[Edge, ...], slack: int, paths: int | None = None
+    ) -> list[Triple] | None:
+        """The contract of ``search`` over all live vertices, met without
+        backtracking: a packing that covers every forced edge and leaves at
+        most ``slack`` live vertices uncovered, or None when greedy misses.
+
+        Each forced edge not yet covered takes its first candidate path;
+        then the lowest-id free vertex takes its first candidate path, or is
+        dropped, which returns None as soon as more than ``slack`` are.  It
+        stops once it holds ``paths`` paths, and costs no search node.
+        """
+        start = self._cover_forced(forced)
+        if start is None:
+            return None
+        out, free = start
+        live = self.alive_mask.bit_count()
         adj = self.adj
         dropped = 0
         while free and (paths is None or len(out) < paths):
@@ -689,6 +707,80 @@ class _Engine:
             a, b, c = path
             out.append((a.bit_length() - 1, b.bit_length() - 1, c.bit_length() - 1))
             free &= ~(a | b | c)
+        return out if live - 3 * len(out) <= slack else None
+
+    def greedy_fewest(
+        self, forced: tuple[Edge, ...], slack: int, paths: int | None = None
+    ) -> list[Triple] | None:
+        """``greedy``'s contract, met by the fewest-candidates rule of
+        Knuth's Algorithm X instead of the lowest id.
+
+        After the forced edges, the free vertex with the fewest candidate
+        paths, C(d_v, 2) + sum over its free neighbours c of (d_c - 1) with
+        d the free degree, goes next, lowest id on ties.  With no candidate
+        it is dropped, against the slack; else it takes the candidate that
+        leaves the fewest free vertices with no free neighbour, then the
+        least.  A removal lowers the counts only within distance 2 of the
+        removed vertices, so only those are recounted and pushed on a heap;
+        counts never rise, so a vertex's latest entry pops first and the
+        entries left behind are skipped once it is gone.  It costs no search
+        node.
+        """
+        start = self._cover_forced(forced)
+        if start is None:
+            return None
+        out, free = start
+        live = self.alive_mask.bit_count()
+        adj = self.adj
+        deg = [0] * len(adj)
+        cnt = [0] * len(adj)
+        for v in _bits(free):
+            deg[v] = (adj[v] & free).bit_count()
+
+        def count(v: int) -> int:
+            d = deg[v]
+            return d * (d - 1) // 2 + sum(deg[c] - 1 for c in _bits(adj[v] & free))
+
+        heap = []
+        for v in _bits(free):
+            cnt[v] = count(v)
+            heap.append((cnt[v], v))
+        heapify(heap)
+
+        def isolated(path: Triple) -> int:
+            """The free vertices left with no free neighbour by ``path``."""
+            rest = free & ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+            near = (adj[path[0]] | adj[path[1]] | adj[path[2]]) & rest
+            return sum(1 for x in _bits(near) if not adj[x] & rest)
+
+        dropped = 0
+        while free and (paths is None or len(out) < paths):
+            c, v = heappop(heap)
+            if not (free >> v) & 1:
+                continue
+            if c:
+                path = min(self._paths_covering(v, free), key=lambda t: (isolated(t), t))
+                out.append(path)
+                gone = (1 << path[0]) | (1 << path[1]) | (1 << path[2])
+            else:
+                dropped += 1
+                if dropped > slack:
+                    return None
+                gone = 1 << v
+            free &= ~gone
+            near = 0
+            for x in _bits(gone):
+                near |= adj[x]
+            near &= free
+            around = near
+            for x in _bits(near):
+                deg[x] = (adj[x] & free).bit_count()
+                around |= adj[x]
+            for x in _bits(around & free):
+                k = count(x)
+                if k < cnt[x]:
+                    cnt[x] = k
+                    heappush(heap, (k, x))
         return out if live - 3 * len(out) <= slack else None
 
     def cover_hole(self, hole: int) -> list[Triple] | None:
@@ -724,9 +816,13 @@ def solve(
 ) -> PackingResult:
     """Answer a problem; see the module docstring.
 
-    The budget is read once before any work, then greedy runs at the
-    mode's slack (FACTOR 0, MAX the residue bound, ``target=k`` live - 3k
-    and at most k paths); the exact search runs only when greedy misses.
+    The budget is read once before any work, then the lowest-id greedy
+    runs at the mode's slack (FACTOR 0, MAX the residue bound, ``target=k``
+    live - 3k and at most k paths).  For ``target=k`` the fewest-candidates
+    greedy runs next at the same slack, and the exact search only when both
+    miss.  FACTOR runs the search when the lowest-id greedy misses.  MAX
+    searches slack s, then tries the fewest-candidates greedy at s + 3
+    (optimal there, as s is refuted) before it searches s + 3.
     ``target`` (MAX mode only, >= 0) asks for any packing of size >= target and
     returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
     ``target`` paths, unless the paths covering forced edges outnumber it.
@@ -754,6 +850,8 @@ def solve(
         if target is not None:
             wit = engine.greedy(forced, live - 3 * target, target)
             if wit is None and 3 * target <= live:
+                wit = engine.greedy_fewest(forced, live - 3 * target, target)
+            if wit is None and 3 * target <= live:
                 wit = engine.search(alive, live - 3 * target, forced)
                 if wit is not None and forced:
                     # keep every path on a forced edge, then fill up to ``target``
@@ -771,6 +869,9 @@ def solve(
         while wit is None and slack <= live:
             wit = engine.search(alive, slack, forced)
             slack += 3
+            if wit is None and slack <= live:
+                # slack - 3 is refuted, so a packing at this slack is optimal
+                wit = engine.greedy_fewest(forced, slack)
         return _finish(problem, engine, "OPTIMUM" if wit is not None else "UNSAT", wit)
     except _BudgetExceeded:
         wit = engine.greedy(forced, live) if problem.mode == Mode.MAX else None

@@ -12,6 +12,7 @@ import pytest
 from lambdapack import (
     Budget,
     Graph,
+    LambdaPath,
     Mode,
     PackingProblem,
     packing,
@@ -33,12 +34,12 @@ def pipeline_graph(name):
     "name, mode, target, verdict, max_nodes",
     [
         ("N", Mode.FACTOR, None, "UNSAT", 97),
-        ("N", Mode.MAX, None, "OPTIMUM", 372),
-        ("N", Mode.MAX, 23, "SAT", 324),
+        ("N", Mode.MAX, None, "OPTIMUM", 97),
+        ("N", Mode.MAX, 23, "SAT", 0),
         ("R", Mode.FACTOR, None, "UNSAT", 138),
-        ("R", Mode.MAX, None, "OPTIMUM", 156),
+        ("R", Mode.MAX, None, "OPTIMUM", 138),
         ("F", Mode.MAX, 17, "SAT", 178),
-        ("N_9", Mode.MAX, None, "OPTIMUM", 408),
+        ("N_9", Mode.MAX, None, "OPTIMUM", 97),
     ],
 )
 def test_pipeline_node_counts(name, mode, target, verdict, max_nodes):
@@ -60,9 +61,9 @@ def test_random_cubic_max_within_budget():
     assert r.value == len(r.paths)
 
 
-# The 23-packing of N that the exact search finds; greedy reaches only 21
-# paths there, so this witness must come from the search, unchanged.
-N_TARGET23_WITNESS = [
+# The 23-packing of N that the exact search finds at slack 3; greedy
+# reaches only 21 paths there.
+N_SEARCH_WITNESS = [
     (0, 2, 3), (1, 5, 4), (8, 16, 19), (9, 11, 10), (12, 13, 15), (17, 44, 46),
     (18, 65, 64), (20, 21, 25), (23, 22, 24), (26, 28, 29), (30, 32, 33),
     (31, 27, 43), (35, 37, 41), (36, 34, 42), (39, 38, 40), (45, 47, 51),
@@ -70,11 +71,50 @@ N_TARGET23_WITNESS = [
     (66, 67, 68), (69, 70, 71),
 ]
 
+# The 23-packing of N that the fewest-candidates greedy builds.
+N_FEWEST_WITNESS = [
+    (0, 2, 3), (4, 6, 7), (5, 1, 17), (9, 11, 10), (12, 8, 16), (13, 15, 14),
+    (19, 21, 20), (22, 18, 65), (23, 25, 24), (26, 28, 29), (30, 32, 33),
+    (31, 27, 43), (34, 36, 37), (35, 39, 38), (42, 52, 56), (44, 46, 47),
+    (48, 50, 51), (49, 45, 60), (53, 55, 54), (57, 59, 58), (61, 67, 66),
+    (62, 63, 69), (64, 70, 71),
+]
 
-def test_n_target23_witness_comes_from_the_search():
+
+def test_n_search_at_slack_3_finds_its_witness():
+    """The exact search, run on its own, is unchanged by the witness phase."""
+    engine = packing._Engine(PackingProblem(pipeline_graph("N"), Mode.MAX), Budget())
+    wit = engine.search(engine.alive_mask, 3, ())
+    assert sorted(LambdaPath.of(*t).vertices for t in wit) == N_SEARCH_WITNESS
+    assert engine.stats.nodes <= 324
+
+
+def test_n_target23_witness_needs_no_search():
+    """The fewest-candidates greedy answers target=23 on N after the
+    lowest-id greedy misses, at 0 nodes."""
     r = solve(PackingProblem(pipeline_graph("N"), Mode.MAX), target=23)
-    assert r.verdict == "SAT" and r.stats.nodes <= 324
-    assert [p.vertices for p in r.paths] == N_TARGET23_WITNESS
+    assert (r.verdict, r.stats.nodes) == ("SAT", 0)
+    assert [p.vertices for p in r.paths] == N_FEWEST_WITNESS
+
+
+def test_fewest_greedy_runs_only_where_a_witness_is_expected(monkeypatch):
+    """On N: never in FACTOR; in MAX only at slack 3, once the search has
+    refuted slack 0; for target=23 at its slack 3 with a cap of 23 paths."""
+    calls = []
+    fewest = packing._Engine.greedy_fewest
+
+    def spy(self, forced, slack, paths=None):
+        calls.append((slack, paths))
+        return fewest(self, forced, slack, paths)
+
+    monkeypatch.setattr(packing._Engine, "greedy_fewest", spy)
+    n = pipeline_graph("N")
+    assert solve(PackingProblem(n, Mode.FACTOR)).verdict == "UNSAT"
+    assert calls == []
+    assert solve(PackingProblem(n, Mode.MAX)).value == 23
+    assert calls == [(3, None)]
+    assert solve(PackingProblem(n, Mode.MAX), target=23).verdict == "SAT"
+    assert calls == [(3, None), (3, 23)]
 
 
 @pytest.mark.parametrize("n, seed", [(60, 1), (240, 2), (600, 3)])

@@ -1,10 +1,22 @@
 """Branch-and-bound vs. the naive exhaustive oracle on small graphs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from lambdapack import Mode, PackingError, PackingProblem, atlas, oracle_solve, solve
+from lambdapack import (
+    Budget,
+    LambdaPath,
+    Mode,
+    PackingError,
+    PackingProblem,
+    atlas,
+    check_packing,
+    oracle_solve,
+    packing,
+    solve,
+)
 from lambdapack.constructions import PortedVertex, vsub
 from lambdapack.graph import Graph
 from lambdapack.sampling import sample_cubic, sample_subcubic
@@ -73,17 +85,13 @@ def _disjoint_union(parts: list[Graph]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def test_every_mode_agrees_with_oracle():
-    """FACTOR, MAX and each target=k agree with the oracle under constraints.
-
-    Graphs are disjoint unions of up to three subcubic pieces, so residual
-    components of every size meet at the root as well as deeper down.
-    target=k is SAT exactly when the oracle's maximum is at least k, and its
-    witness has exactly k paths, or, when k is smaller, just the paths that
-    cover forced edges.
-    """
-    rng = random.Random(4151)
-    for trial in range(300):
+def _union_corpus(seed: int, trials: int):
+    """MAX problems on disjoint unions of up to three subcubic pieces, so
+    residual components of every size meet at the root as well as deeper
+    down, each with up to one deleted vertex, one deleted edge, one
+    forbidden edge and two forced edges."""
+    rng = random.Random(seed)
+    for trial in range(trials):
         sizes = [rng.randint(1, 13)]
         while len(sizes) < 3 and sum(sizes) < 11 and rng.random() < 0.6:
             sizes.append(rng.randint(1, 13 - sum(sizes)))
@@ -94,22 +102,31 @@ def test_every_mode_agrees_with_oracle():
         usable = [e for e in edges if not set(e) & deleted_v]
         rng.shuffle(usable)
         k_del, k_forb, k_forced = rng.choice([0, 1]), rng.choice([0, 1]), rng.choice([0, 1, 2])
-        deleted_e = frozenset(usable[:k_del])
-        forbidden = frozenset(usable[k_del : k_del + k_forb])
-        forced = frozenset(usable[k_del + k_forb : k_del + k_forb + k_forced])
-        constraints = dict(
+        yield PackingProblem(
+            g,
+            Mode.MAX,
             deleted_vertices=deleted_v,
-            deleted_edges=deleted_e,
-            forbidden_edges=forbidden,
-            forced_edges=forced,
+            deleted_edges=frozenset(usable[:k_del]),
+            forbidden_edges=frozenset(usable[k_del : k_del + k_forb]),
+            forced_edges=frozenset(usable[k_del + k_forb : k_del + k_forb + k_forced]),
         )
-        problem = PackingProblem(g, Mode.MAX, **constraints)
+
+
+def test_every_mode_agrees_with_oracle():
+    """FACTOR, MAX and each target=k agree with the oracle under constraints.
+
+    target=k is SAT exactly when the oracle's maximum is at least k, and its
+    witness has exactly k paths, or, when k is smaller, just the paths that
+    cover forced edges.
+    """
+    for problem in _union_corpus(4151, 300):
+        forced = problem.forced_edges
         best = oracle_solve(problem)
         exact = solve(problem)
         assert (exact.verdict, exact.value) == (best.verdict, best.value), problem
-        live = n - len(deleted_v)
+        live = len(problem.alive)
         if live % 3 == 0:
-            _agree(PackingProblem(g, Mode.FACTOR, **constraints))
+            _agree(replace(problem, mode=Mode.FACTOR))
         for k in range(live // 3 + 2):
             res = solve(problem, target=k)
             reachable = best.verdict == "OPTIMUM" and best.value >= k
@@ -117,6 +134,35 @@ def test_every_mode_agrees_with_oracle():
             if res.verdict == "SAT":
                 on_forced = [p for p in res.paths if set(p.edges) & forced]
                 assert len(res.paths) == res.value == max(k, len(on_forced))
+
+
+def test_fewest_candidates_greedy_contract():
+    """The fewest-candidates greedy keeps the search's contract at every
+    slack, with and without a paths cap: None, or a packing that passes
+    check_packing, covers the forced edges, leaves at most ``slack`` live
+    vertices uncovered and holds at most ``paths`` paths (or one per forced
+    edge, when those are more).  It never beats the oracle's maximum."""
+    hits = 0
+    for problem in _union_corpus(2719, 200):
+        best = oracle_solve(problem)
+        engine = packing._Engine(problem, Budget())
+        forced = tuple(sorted(problem.forced_edges))
+        live = len(problem.alive)
+        for slack in range(live + 1):
+            need = -(-(live - slack) // 3)  # the fewest paths that meet the slack
+            for cap in (None, need, need + 1):
+                wit = engine.greedy_fewest(forced, slack, cap)
+                if wit is None:
+                    continue
+                hits += 1
+                paths = [LambdaPath.of(*t) for t in wit]
+                check_packing(problem, paths)
+                assert live - 3 * len(paths) <= slack, (problem, slack, cap)
+                if cap is not None:
+                    assert len(paths) <= max(cap, len(forced)), (problem, slack, cap)
+                assert best.verdict == "OPTIMUM" and len(paths) <= best.value
+        assert engine.stats.nodes == 0
+    assert hits > 1000
 
 
 def test_disjoint_union_max_is_sum_of_parts():

@@ -329,8 +329,10 @@ def test_long_path_has_no_depth_limit():
 
 def test_long_path_search_has_no_depth_limit():
     """The same path with labels 0 and 1 swapped: greedy takes 0-2-3 and
-    strands the end vertex 1, so every mode runs the search, one frame per
-    placed path, 1,000 deep."""
+    strands the end vertex 1, so FACTOR and MAX run the search, one frame
+    per placed path, 1,000 deep.  The fewest-candidates greedy answers
+    target=n/3 at 0 nodes, so the search target= would run is driven
+    directly, at its slack live - 3k."""
     n = 3000
     label = [1, 0, *range(2, n)]
     path = Graph.from_edges(n, [(label[i], label[i + 1]) for i in range(n - 1)])
@@ -341,7 +343,11 @@ def test_long_path_search_has_no_depth_limit():
     assert [r.verdict for r in results] == ["SAT", "OPTIMUM", "SAT"]
     for r in results:
         assert r.paths == unique and r.value == n // 3
-        assert r.stats.nodes >= n // 3
+    assert [r.stats.nodes >= n // 3 for r in results] == [True, True, False]
+    engine = packing._Engine(PackingProblem(path, Mode.MAX), Budget())
+    wit = engine.search(engine.alive_mask, n - 3 * (n // 3), ())
+    assert sorted(LambdaPath.of(*t).vertices for t in wit) == [p.vertices for p in unique]
+    assert engine.stats.nodes >= n // 3
 
 
 def _reference_greedy(engine, free):
@@ -383,6 +389,43 @@ def test_greedy_takes_the_least_candidate_path(sample, seed):
             expected = _reference_greedy(engine, engine.alive_mask)
             assert engine.greedy((), live) == expected
             check_packing(problem, [LambdaPath.of(*t) for t in expected])
+
+
+def _reference_fewest(engine, free):
+    """The reference fewest-candidates greedy: every candidate of every free
+    vertex listed again at each step."""
+    adj, out = engine.adj, []
+    while free:
+        counts = {v: len(list(engine._paths_covering(v, free))) for v in packing._bits(free)}
+        v = min(counts, key=lambda x: (counts[x], x))
+        if not counts[v]:
+            free &= ~(1 << v)
+            continue
+
+        def isolated(t):
+            rest = free & ~((1 << t[0]) | (1 << t[1]) | (1 << t[2]))
+            return sum(1 for x in packing._bits(rest) if not adj[x] & rest)
+
+        path = min(engine._paths_covering(v, free), key=lambda t: (isolated(t), t))
+        out.append(path)
+        free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+    return out
+
+
+@pytest.mark.parametrize("sample", [sample_cubic, sample_subcubic])
+@pytest.mark.parametrize("seed", range(4))
+def test_fewest_greedy_matches_a_full_recount(sample, seed):
+    """Recounting only within distance 2 of each removal, with stale heap
+    entries skipped, picks the same vertices and paths as recounting all."""
+    rng = random.Random(seed)
+    for n in (18, 30, 46, 64):
+        g = sample(n, seed)
+        problem = PackingProblem(
+            g, Mode.MAX, deleted_vertices=frozenset(rng.sample(range(n), rng.randrange(4)))
+        )
+        engine = packing._Engine(problem, Budget())
+        live = engine.alive_mask.bit_count()
+        assert engine.greedy_fewest((), live) == _reference_fewest(engine, engine.alive_mask)
 
 
 def test_greedy_gives_up_past_its_slack():
