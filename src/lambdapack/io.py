@@ -10,6 +10,9 @@ Packing problems serialize with the graph embedded::
       "deletedVertices": [3], "deletedEdges": [], "forcedEdges": [[0,1]],
       "forbiddenEdges": [] }
 
+Vertex counts, edge ends and vertex ids are JSON integers: a float, a bool
+or a string there is a :class:`GraphError`, never rounded or converted.
+
 DOT uses vertex labels as node names (so files are human-readable) and an
 ``id`` attribute to pin the dense vertex id, e.g.::
 
@@ -43,10 +46,17 @@ def to_json(g: Graph) -> str:
     return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
 
 
+def _int(x: object) -> int:
+    """``x`` if it is a JSON integer; a bool, a float or a string is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
+
+
 def from_json_dict(data: dict) -> Graph:
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = _int(data["n"])
+        edges = [(_int(u), _int(v)) for u, v in data["edges"]]
         pairs = [(int(k), str(lab)) for k, lab in (data.get("labels") or {}).items()]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
@@ -84,14 +94,14 @@ def problem_parts(data: dict) -> tuple[Graph, dict]:
     from .packing import Mode
 
     def edge_set(key: str) -> frozenset:
-        pairs = [(int(u), int(v)) for u, v in data.get(key, [])]
+        pairs = [(_int(u), _int(v)) for u, v in data.get(key, [])]
         return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
 
     try:
         graph = from_json_dict(data["graph"])
         fields = dict(
             mode=Mode(data.get("mode", "MAX")),
-            deleted_vertices=frozenset(int(v) for v in data.get("deletedVertices", [])),
+            deleted_vertices=frozenset(_int(v) for v in data.get("deletedVertices", [])),
             deleted_edges=edge_set("deletedEdges"),
             forced_edges=edge_set("forcedEdges"),
             forbidden_edges=edge_set("forbiddenEdges"),

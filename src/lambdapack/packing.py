@@ -66,12 +66,11 @@ shares no logic or state with the search: it reads only the graph's edge
 set and the problem's own sets, not the search's adjacency masks.
 
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
-nearly all satisfiable; it answers each from the factors it has already
-found when one fits, by bitmask tests on edge sets and a dict lookup on
-deleted vertex sets, or, for a query that only deletes vertices, by path
-exchange: a found factor less the paths that meet the deleted vertices,
-with the hole left re-covered by one or two paths.  It searches only the
-rest.
+nearly all satisfiable; it answers each from a factor it has already found,
+as it is when one fits, or else repaired: a found factor less its paths
+that meet the query's deleted vertices, use a deleted or forbidden edge or
+touch a forced edge it misses, with the hole left re-covered by one or two
+paths.  It searches only the rest.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from typing import Generator, Iterable, Iterator
 
 from .graph import CutReport, Edge, Graph, GraphError, is_cubic, norm_edge
@@ -1010,27 +1008,21 @@ def residue_factor_clauses(
     clause is decided by constrained factor queries, asked in a fixed order
     until one fails; the rest report n/a.
 
-    Almost every query has a factor, so each one first looks for it among
-    the factors already found: one with the same deleted vertices that uses
-    none of the query's deleted or forbidden edges and covers its forced
-    edges (edge sets are compared as bitmasks), or, when the deleted
-    vertices are the vertex set of a path of a factor of G, that factor
-    less that path (a factor of G - V(p)), found by a dict lookup on the
-    vertex set.  A query that deletes vertices D and has no edge
-    constraint (t2, f1, and z5 when the lookup misses) then tries path
-    exchange on each factor W of G - D_W found so far, newest first: W
-    less its paths that meet D leaves the hole (D_W and the dropped
-    vertices) - D uncovered, and when the hole has at most 6 vertices and
-    one or two paths of G cover it exactly, W with those paths in place of
-    the dropped ones is a factor of G - D.  The hole is filled by a
-    closed-form check (``_Engine.cover_hole``), not a search.  A reused or
-    exchanged factor is re-checked by :func:`check_packing`, costs no
-    search node, and is kept for later queries.  Only the other queries are
-    searched, each under its own ``budget``, so every "fails" comes from a
-    search, on the same query as without the pool, and so does every
-    "indeterminate"; a query answered without a search spends no budget,
-    so under a small budget a clause may hold where a search of each
-    query would have run out.
+    Almost every query has a factor, so each is first answered from the
+    factors already found.  Oldest first, one with the query's deleted
+    vertices whose edges avoid the deleted and forbidden ones and cover the
+    forced ones is the answer as it is.  Otherwise, newest first, a found
+    factor W is repaired: it drops its paths that meet the deleted vertices,
+    use a deleted or forbidden edge or touch a forced edge W misses, and
+    ``_Engine.cover_hole`` re-covers the hole left (at most 6 vertices) with
+    one or two paths of G, without a search; the result is the answer if it
+    avoids the banned edges and covers the forced ones, and it is kept.
+    Every answer is re-checked by :func:`check_packing`.  Only the other
+    queries are searched, each under its own ``budget``, so every "fails"
+    and every "indeterminate" comes from a search of that same query; a
+    query answered without a search spends no budget, so under a small
+    budget a clause may hold where a search of each query would have run
+    out.
     """
     if not is_cubic(g):
         raise PackingError("predicate battery expects a cubic graph")
@@ -1041,13 +1033,9 @@ def residue_factor_clauses(
     bit = {e: 1 << i for i, e in enumerate(edges)}
     full = (1 << g.n) - 1
     engine = _Engine(PackingProblem(g, Mode.MAX), budget)
-    # deleted vertices -> (factor, mask of its edges), every factor found so far
-    pool: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int]]] = {}
-    # vertex set of a path -> (factor of G, mask of its edges, that path)
-    on_path: dict[frozenset[int], list[tuple[tuple[LambdaPath, ...], int, LambdaPath]]] = {}
     # every factor found so far, oldest first: (mask of its deleted
-    # vertices, the factor, the path of the factor at each vertex)
-    factors: list[tuple[int, tuple[LambdaPath, ...], list[LambdaPath | None]]] = []
+    # vertices, the factor, mask of its edges, mask of its path at each vertex)
+    factors: list[tuple[int, tuple[LambdaPath, ...], int, list[int]]] = []
 
     def mask_of(es: Iterable[Edge]) -> int:
         mask = 0
@@ -1055,62 +1043,55 @@ def residue_factor_clauses(
             mask |= bit[e]
         return mask
 
-    def edge_mask(paths: Iterable[LambdaPath]) -> int:
-        return mask_of(e for p in paths for e in p.edges)
-
-    def pooled(prob: PackingProblem) -> bool:
-        banned = mask_of(prob.deleted_edges) | mask_of(prob.forbidden_edges)
-        forced = mask_of(prob.forced_edges)
-        dead = prob.deleted_vertices
-        found = chain(
-            pool.get(dead, ()),
-            (
-                (tuple(p for p in paths if p is not path), mask & ~edge_mask((path,)))
-                for paths, mask, path in on_path.get(dead, ())
-            ),
-        )
-        for paths, mask in found:
-            if not mask & banned and not forced & ~mask:
-                check_packing(prob, paths)
-                return True
-        return False
-
-    def exchanged(prob: PackingProblem) -> bool:
-        """Path exchange for a query that only deletes vertices: True when
-        it made a factor of the query, which is re-checked and kept."""
-        dead = prob.deleted_vertices
-        if not dead or prob.deleted_edges or prob.forbidden_edges or prob.forced_edges:
-            return False
+    def repaired(prob: PackingProblem) -> bool:
+        """True when a found factor, as it is or repaired, is a factor of
+        ``prob``; the answer is re-checked, and a repaired one is kept."""
         gone = full ^ prob.alive_mask
-        for missing, paths, at in reversed(factors):
-            drop = {at[v] for v in dead} - {None}
-            hole = missing
-            for p in drop:
-                hole |= p.mask
-            fill = engine.cover_hole(hole & ~gone)
-            if fill is not None:
-                paths = tuple(p for p in paths if p not in drop)
-                paths += tuple(LambdaPath.of(*t) for t in fill)
+        cut = prob.deleted_edges | prob.forbidden_edges
+        banned = mask_of(cut)
+        forced = mask_of(prob.forced_edges)
+        for dead, paths, mask, _ in factors:
+            if dead == gone and not mask & banned and not forced & ~mask:
                 check_packing(prob, paths)
-                keep(prob, paths)
                 return True
+        for dead, paths, mask, at in reversed(factors):
+            # the hole: the factor's deleted vertices and its paths that
+            # meet the query's deleted vertices, use a banned edge or touch
+            # a forced edge the factor misses, less the deleted vertices
+            hole = dead
+            for v in prob.deleted_vertices:
+                hole |= at[v]
+            for e in cut:
+                if bit[e] & mask:
+                    hole |= at[e[0]]
+            for e in prob.forced_edges:
+                if not bit[e] & mask:
+                    hole |= at[e[0]] | at[e[1]]
+            fill = engine.cover_hole(hole & ~gone)
+            if fill is None:
+                continue
+            added = tuple(LambdaPath.of(*t) for t in fill)
+            # the kept paths use no banned edge, so only the added ones can
+            if mask_of(e for p in added for e in p.edges) & banned:
+                continue
+            paths = tuple(p for p in paths if not p.mask & hole) + added
+            if forced & ~mask_of(e for p in paths for e in p.edges):
+                continue
+            check_packing(prob, paths)
+            keep(prob, paths)
+            return True
         return False
 
     def keep(prob: PackingProblem, paths: tuple[LambdaPath, ...]) -> None:
-        mask = edge_mask(paths)
-        dead = prob.deleted_vertices
-        pool.setdefault(dead, []).append((paths, mask))
-        if not dead:
-            for p in paths:
-                on_path.setdefault(frozenset(p.vertices), []).append((paths, mask, p))
-        at: list[LambdaPath | None] = [None] * g.n
+        at = [0] * g.n
         for p in paths:
-            at[p.u] = at[p.v] = at[p.w] = p
-        factors.append((full ^ prob.alive_mask, paths, at))
+            at[p.u] = at[p.v] = at[p.w] = p.mask
+        mask = mask_of(e for p in paths for e in p.edges)
+        factors.append((full ^ prob.alive_mask, paths, mask, at))
 
     def decide(name: str, queries: Iterable[tuple[PackingProblem, str]]) -> None:
         for prob, what in queries:
-            if pooled(prob) or exchanged(prob):
+            if repaired(prob):
                 continue
             res = solve(prob, budget)
             if res.verdict == "INDETERMINATE":

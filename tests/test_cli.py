@@ -296,6 +296,35 @@ def test_malformed_labels_are_parse_errors(tmp_path, capsys, command, flag, text
     assert out == "" and "malformed graph JSON" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, text, message",
+    [
+        ("check", "--input", '{"n": 3.9, "edges": [[0.7, 1.2], [1, 2]]}', "graph"),
+        ("check", "--input", '{"n": 3, "edges": [[true, 1], [1, 2]]}', "graph"),
+        (
+            "solve",
+            "--problem",
+            '{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "forcedEdges": [[0.5, 1.9]]}',
+            "problem",
+        ),
+        (
+            "solve",
+            "--problem",
+            '{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "deletedVertices": ["0"]}',
+            "problem",
+        ),
+    ],
+)
+def test_non_integer_json_numbers_are_parse_errors(
+    tmp_path, capsys, command, flag, text, message
+):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert code == EXIT_PARSE
+    assert out == "" and f"malformed {message} JSON" in err
+
+
 def test_unwritable_output_is_parse_error(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "x.json"
     code, out, err = run_cli(

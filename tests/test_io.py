@@ -3,6 +3,7 @@
 import pytest
 
 from lambdapack import Graph, GraphError, atlas, from_dot, from_json, to_dot, to_json
+from lambdapack.io import problem_from_json
 from lambdapack.pipeline import build_pipeline
 
 
@@ -38,6 +39,42 @@ def test_json_malformed():
         from_json("{not json")
     with pytest.raises(GraphError):
         from_json('{"n": 2, "edges": [[0, 5]], "labels": {}}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.9, "edges": [[0, 1], [1, 2]]}',
+        '{"n": 3, "edges": [[0.7, 1.2], [1, 2]]}',
+        '{"n": 3, "edges": [[0, 1.0], [1, 2]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [["0", 1]]}',
+    ],
+)
+def test_json_numbers_must_be_integers(text):
+    """Vertex counts and edge ends are JSON integers: a float, a bool or a
+    string is rejected, not rounded or converted."""
+    with pytest.raises(GraphError, match="malformed graph JSON"):
+        from_json(text)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        '"forcedEdges": [[0.5, 1.9]]',
+        '"deletedEdges": [[0, 1.0]]',
+        '"forbiddenEdges": [[false, 1]]',
+        '"deletedVertices": [true]',
+        '"deletedVertices": ["0"]',
+        '"deletedVertices": [1.0]',
+    ],
+)
+def test_problem_json_vertex_ids_must_be_integers(field):
+    text = '{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, %s}' % field
+    with pytest.raises(GraphError, match="malformed problem JSON"):
+        problem_from_json(text)
+    assert problem_from_json(text.replace(field, '"deletedVertices": [0]'))
 
 
 @pytest.mark.parametrize("labels", ['{"x": "a"}', '["a", "b"]', '{"2": "a"}', '"ab"'])
@@ -91,12 +128,15 @@ def test_problem_edges_are_ordered_as_ints():
 
     text = (
         '{"graph": {"n": 11, "edges": [[9, 10]]}, "mode": "MAX",'
-        ' "forcedEdges": [["10", "9"]]}'
+        ' "forcedEdges": [[10, 9]]}'
     )
     problem = problem_from_json(text)
     assert problem == PackingProblem(
         Graph.from_edges(11, [(9, 10)]), Mode.MAX, forced_edges=frozenset({(9, 10)})
     )
+    # ids given as strings would order as text ("10" < "9"): they are rejected
+    with pytest.raises(GraphError, match="malformed problem JSON"):
+        problem_from_json(text.replace("[10, 9]", '["10", "9"]'))
 
 
 def test_problem_json_errors():

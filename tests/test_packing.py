@@ -428,6 +428,57 @@ def test_fewest_greedy_matches_a_full_recount(sample, seed):
         assert engine.greedy_fewest((), live) == _reference_fewest(engine, engine.alive_mask)
 
 
+def _splits_into_paths(g, hole):
+    """Whether the vertex set ``hole`` splits into 3-vertex paths of ``g``,
+    by trying every path through its lowest vertex."""
+    if not hole:
+        return True
+    low = min(hole)
+    for pair in itertools.combinations(sorted(hole - {low}), 2):
+        t = (low, *pair)
+        if any(all(g.has_edge(c, x) for x in t if x != c) for c in t):
+            if _splits_into_paths(g, hole - set(t)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_hole_covers_exactly_or_says_it_cannot(seed):
+    """An empty hole needs no path; a hole of 3 or 6 vertices is covered
+    exactly by paths of the graph inside it whenever such paths exist, and
+    is None otherwise; a hole of more than 6 vertices is None even when it
+    could be covered."""
+    g = sample_cubic(18, seed)
+    engine = packing._Engine(PackingProblem(g, Mode.MAX), Budget())
+    assert engine.cover_hole(0) == []
+    paths = [set(p.vertices) for p in enumerate_paths(g)]
+    pairs = [p | q for p, q in itertools.combinations(paths, 2) if not p & q]
+    rng = random.Random(seed)
+    drawn = [set(rng.sample(range(g.n), k)) for k in (3, 6) for _ in range(300)]
+    outcomes = set()
+    for hole in paths + pairs + drawn:
+        fill = engine.cover_hole(sum(1 << v for v in hole))
+        outcomes.add((len(hole), fill is None))
+        if fill is None:
+            assert not _splits_into_paths(g, hole), hole
+            continue
+        assert len(fill) == len(hole) // 3
+        assert sorted(v for t in fill for v in t) == sorted(hole)
+        for t in fill:
+            path = LambdaPath.of(*t)
+            assert all(g.has_edge(*e) for e in path.edges)
+    assert outcomes == {(3, False), (3, True), (6, False), (6, True)}
+    # three disjoint paths: coverable, but more than 6 vertices
+    triple = next(
+        p | q | r
+        for p, q, r in itertools.combinations(paths, 3)
+        if len(p | q | r) == 9
+    )
+    assert _splits_into_paths(g, triple)
+    assert engine.cover_hole(sum(1 << v for v in triple)) is None
+    assert engine.cover_hole(sum(1 << v for v in set(rng.sample(range(g.n), 7)))) is None
+
+
 def test_greedy_gives_up_past_its_slack():
     """On the swapped-label P_6 (1-0-2-3-4-5) greedy takes 0-2-3, 4-5 is
     left with no path and vertex 1 is stranded: 3 vertices uncovered."""
