@@ -204,9 +204,9 @@ class _Parser:
         )
 
 
-def parse_expr(text: str, line: int = 1) -> Expr:
-    """Parse a single construction expression."""
-    p = _Parser(text, line)
+def parse_expr(text: str) -> Expr:
+    """Parse a single construction expression, reported as line 1."""
+    p = _Parser(text, 1)
     node = p.expr()
     if not p.at_end():
         raise p.error(f"trailing input {p.text[p.pos:]!r}")

@@ -12,6 +12,8 @@ Packing problems serialize with the graph embedded::
 
 Vertex counts, edge ends and vertex ids are JSON integers: a float, a bool
 or a string there is a :class:`GraphError`, never rounded or converted.
+Each label key is a vertex id written as ``str(i)`` (so ``"007"`` or
+``"+3"`` is an error) and each label a string.
 
 DOT uses vertex labels as node names (so files are human-readable) and an
 ``id`` attribute to pin the dense vertex id, e.g.::
@@ -57,14 +59,16 @@ def from_json_dict(data: dict) -> Graph:
     try:
         n = _int(data["n"])
         edges = [(_int(u), _int(v)) for u, v in data["edges"]]
-        pairs = [(int(k), str(lab)) for k, lab in (data.get("labels") or {}).items()]
+        labels = [f"v{i}" for i in range(n)]
+        for key, lab in (data.get("labels") or {}).items():
+            i = int(key)
+            if str(i) != key or not 0 <= i < n:
+                raise ValueError(f"label key {key!r} is not a vertex id")
+            if type(lab) is not str:
+                raise TypeError(f"label {lab!r} is not a string")
+            labels[i] = lab
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
-    labels = [f"v{i}" for i in range(n)]
-    for i, lab in pairs:
-        if not (0 <= i < n):
-            raise GraphError(f"label key {i} out of range")
-        labels[i] = lab
     return Graph.from_edges(n, edges, labels)
 
 
@@ -142,11 +146,11 @@ def _unquote(s: str) -> str:
     return s.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     """Emit DOT with labels as node names; requires unique labels."""
     if len(set(g.labels)) != g.n:
         raise GraphError("DOT export requires unique vertex labels")
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for i in range(g.n):
         lines.append(f"  {_quote(g.labels[i])} [id={i}];")
     for u, v in g.sorted_edges():

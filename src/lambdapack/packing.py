@@ -66,11 +66,12 @@ shares no logic or state with the search: it reads only the graph's edge
 set and the problem's own sets, not the search's adjacency masks.
 
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
-nearly all satisfiable; it answers each from a factor it has already found,
-as it is when one fits, or else repaired: a found factor less its paths
-that meet the query's deleted vertices, use a deleted or forbidden edge or
-touch a forced edge it misses, with the hole left re-covered by one or two
-paths.  It searches only the rest.
+nearly all satisfiable.  It keeps each factor it finds with the set of its
+edges, and answers each query from one of them by set operations on the
+query's own edge sets: as it is when one fits, or else repaired: a found
+factor less its paths that meet the query's deleted vertices, use a
+deleted or forbidden edge or touch a forced edge it misses, with the hole
+left re-covered by one or two paths.  It searches only the rest.
 """
 
 from __future__ import annotations
@@ -851,14 +852,12 @@ def solve(
                 wit = engine.greedy_fewest(forced, live - 3 * target, target)
             if wit is None and 3 * target <= live:
                 wit = engine.search(alive, live - 3 * target, forced)
-                if wit is not None and forced:
+                if wit is not None:
                     # keep every path on a forced edge, then fill up to ``target``
                     edges = problem.forced_edges
                     on_forced = [p for p in wit if set(LambdaPath.of(*p).edges) & edges]
                     others = [p for p in wit if p not in on_forced]
                     wit = on_forced + others[: max(0, target - len(on_forced))]
-                elif wit is not None:
-                    wit = wit[:target]
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
         # MAX: the least slack that succeeds gives the optimum, and no
         # packing leaves fewer vertices uncovered than the residue bound
@@ -1009,14 +1008,17 @@ def residue_factor_clauses(
     until one fails; the rest report n/a.
 
     Almost every query has a factor, so each is first answered from the
-    factors already found.  Oldest first, one with the query's deleted
-    vertices whose edges avoid the deleted and forbidden ones and cover the
-    forced ones is the answer as it is.  Otherwise, newest first, a found
-    factor W is repaired: it drops its paths that meet the deleted vertices,
-    use a deleted or forbidden edge or touch a forced edge W misses, and
-    ``_Engine.cover_hole`` re-covers the hole left (at most 6 vertices) with
-    one or two paths of G, without a search; the result is the answer if it
-    avoids the banned edges and covers the forced ones, and it is kept.
+    factors already found, each kept with a mask of its deleted vertices,
+    the ``frozenset`` of its edges and a mask of its path at each vertex.
+    Oldest first, one with the query's deleted vertices whose edges avoid
+    the deleted and forbidden ones and hold the forced ones is the answer as
+    it is.  Otherwise, newest first, a found factor W is repaired: it drops
+    its paths that meet the deleted vertices, use a deleted or forbidden
+    edge or touch a forced edge W misses, and ``_Engine.cover_hole``
+    re-covers the hole left (at most 6 vertices) with one or two paths of
+    G, without a search; the result is the answer if the added paths avoid
+    the deleted and forbidden edges and its edges hold the forced ones, and
+    it is kept.
     Every answer is re-checked by :func:`check_packing`.  Only the other
     queries are searched, each under its own ``budget``, so every "fails"
     and every "indeterminate" comes from a search of that same query; a
@@ -1030,52 +1032,42 @@ def residue_factor_clauses(
     residue = g.n % 6
     out = dict.fromkeys(_CLAUSES, ClauseResult("n/a"))
     edges = g.sorted_edges()
-    bit = {e: 1 << i for i, e in enumerate(edges)}
     full = (1 << g.n) - 1
     engine = _Engine(PackingProblem(g, Mode.MAX), budget)
     # every factor found so far, oldest first: (mask of its deleted
-    # vertices, the factor, mask of its edges, mask of its path at each vertex)
-    factors: list[tuple[int, tuple[LambdaPath, ...], int, list[int]]] = []
-
-    def mask_of(es: Iterable[Edge]) -> int:
-        mask = 0
-        for e in es:
-            mask |= bit[e]
-        return mask
+    # vertices, the factor, its edges, mask of its path at each vertex)
+    factors: list[tuple[int, tuple[LambdaPath, ...], frozenset[Edge], list[int]]] = []
 
     def repaired(prob: PackingProblem) -> bool:
         """True when a found factor, as it is or repaired, is a factor of
         ``prob``; the answer is re-checked, and a repaired one is kept."""
         gone = full ^ prob.alive_mask
         cut = prob.deleted_edges | prob.forbidden_edges
-        banned = mask_of(cut)
-        forced = mask_of(prob.forced_edges)
-        for dead, paths, mask, _ in factors:
-            if dead == gone and not mask & banned and not forced & ~mask:
+        forced = prob.forced_edges
+        for dead, paths, used, _ in factors:
+            if dead == gone and cut.isdisjoint(used) and forced <= used:
                 check_packing(prob, paths)
                 return True
-        for dead, paths, mask, at in reversed(factors):
+        for dead, paths, used, at in reversed(factors):
             # the hole: the factor's deleted vertices and its paths that
-            # meet the query's deleted vertices, use a banned edge or touch
-            # a forced edge the factor misses, less the deleted vertices
+            # meet the query's deleted vertices, use a cut edge or touch a
+            # forced edge the factor misses, less the deleted vertices
             hole = dead
             for v in prob.deleted_vertices:
                 hole |= at[v]
-            for e in cut:
-                if bit[e] & mask:
-                    hole |= at[e[0]]
-            for e in prob.forced_edges:
-                if not bit[e] & mask:
-                    hole |= at[e[0]] | at[e[1]]
+            for u, _ in cut & used:
+                hole |= at[u]
+            for u, v in forced - used:
+                hole |= at[u] | at[v]
             fill = engine.cover_hole(hole & ~gone)
             if fill is None:
                 continue
             added = tuple(LambdaPath.of(*t) for t in fill)
-            # the kept paths use no banned edge, so only the added ones can
-            if mask_of(e for p in added for e in p.edges) & banned:
+            # the kept paths use no cut edge, so only the added ones can
+            if any(e in cut for p in added for e in p.edges):
                 continue
             paths = tuple(p for p in paths if not p.mask & hole) + added
-            if forced & ~mask_of(e for p in paths for e in p.edges):
+            if not forced <= {e for p in paths for e in p.edges}:
                 continue
             check_packing(prob, paths)
             keep(prob, paths)
@@ -1086,8 +1078,8 @@ def residue_factor_clauses(
         at = [0] * g.n
         for p in paths:
             at[p.u] = at[p.v] = at[p.w] = p.mask
-        mask = mask_of(e for p in paths for e in p.edges)
-        factors.append((full ^ prob.alive_mask, paths, mask, at))
+        used = frozenset(e for p in paths for e in p.edges)
+        factors.append((full ^ prob.alive_mask, paths, used, at))
 
     def decide(name: str, queries: Iterable[tuple[PackingProblem, str]]) -> None:
         for prob, what in queries:

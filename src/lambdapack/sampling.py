@@ -13,12 +13,12 @@ import random
 from .graph import Graph, GraphError
 
 
-def sample_cubic(n: int, seed: int, max_tries: int = 10_000) -> Graph:
+def sample_cubic(n: int, seed: int) -> Graph:
     """A random simple cubic graph on n vertices (n even, n >= 4)."""
     if n < 4 or n % 2 != 0:
         raise GraphError(f"cubic graphs need even n >= 4, got {n}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(10_000):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
@@ -35,7 +35,7 @@ def sample_cubic(n: int, seed: int, max_tries: int = 10_000) -> Graph:
             edges.add(e)
         if ok:
             return Graph.from_edges(n, edges)
-    raise GraphError(f"no simple pairing found after {max_tries} tries")
+    raise GraphError("no simple pairing found after 10000 tries")
 
 
 def sample_subcubic(n: int, seed: int) -> Graph:
@@ -65,18 +65,18 @@ def sample_subcubic(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def sample_degree23(n: int, seed: int, max_tries: int = 200) -> Graph:
+def sample_degree23(n: int, seed: int) -> Graph:
     """A random graph with every degree 2 or 3 and no 5-vertex components.
 
     Start from a random cubic graph and delete a random partial matching;
     matched vertices drop to degree 2.  Retries until no component has
-    exactly 5 vertices.
+    exactly 5 vertices, at most 200 times.
     """
     if n < 4 or n % 2 != 0:
         raise GraphError(f"degree-2/3 sampling needs even n >= 4, got {n}")
     from .graph import components
 
-    for attempt in range(max_tries):
+    for attempt in range(200):
         g = sample_cubic(n, seed + 7919 * attempt)
         rng = random.Random(seed * 1_000_003 + attempt)
         edges = sorted(g.edges)

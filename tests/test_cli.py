@@ -281,6 +281,7 @@ def test_solve_output_ignores_labels(tmp_path, capsys):
     "command, flag, text",
     [
         ("check", "--input", '{"n": 2, "edges": [[0, 1]], "labels": {"x": "a"}}'),
+        ("check", "--input", '{"n": 2, "edges": [[0, 1]], "labels": {"+1": "a"}}'),
         (
             "solve",
             "--problem",

@@ -83,6 +83,27 @@ def test_json_malformed_labels(labels):
         from_json('{"n": 2, "edges": [[0, 1]], "labels": %s}' % labels)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        '{"1_0": "a"}',
+        '{" 2": "a"}',
+        '{"+3": "a"}',
+        '{"007": "a"}',
+        '{"2": 5}',
+        '{"2": null}',
+    ],
+)
+def test_json_label_keys_are_vertex_ids_and_labels_strings(labels):
+    """A label key is ``str(i)`` for a vertex i and a label is a string:
+    on 11 vertices ``"1_0"``, ``" 2"`` and ``"+3"`` would parse as vertex
+    ids 10, 2 and 3 under ``int()``, and 5 or null would become text."""
+    text = '{"n": 11, "edges": [[0, 1]], "labels": %s}'
+    with pytest.raises(GraphError, match="malformed graph JSON"):
+        from_json(text % labels)
+    assert from_json(text % '{"10": "a", "2": "b"}').labels[10] == "a"
+
+
 def test_dot_round_trip():
     for name in ("K4", "K33", "Q", "S"):
         g = atlas(name)

@@ -16,6 +16,7 @@ from lambdapack import (
 )
 from lambdapack.graph import Graph, components, degree_profile
 from lambdapack.oracle import oracle_solve
+from lambdapack.pipeline import build_pipeline
 from lambdapack.sampling import sample_cubic, sample_degree23
 
 CLAUSES = ("z1", "z2", "z3", "z4", "z5", "t2", "f1", "f2")
@@ -113,16 +114,22 @@ def test_cube_residue_2():
 def test_battery_matches_one_search_per_query():
     """Answers taken from a found factor, as it is or repaired, change no
     status and no detail, on graphs of each residue where clauses hold and
-    where they fail (on (16, 7) f2 fails on "minus 2 and (0, 12)")."""
+    where they fail (on (16, 7) f2 fails on "minus 2 and (0, 12)").  The
+    paper's gadgets add failing forced-edge and deleted-edge queries: on K
+    z3 fails on "contain (16, 17)", and z4 and z5 fail too; on H f2 fails on
+    "minus 0 and (1, 16)"."""
     seen = set()
     cases = [(16, 7), (18, 0), (18, 4), (20, 0), (20, 2), (22, 0), (22, 1)]
     cases += [(24, 0), (26, 0), (26, 1), (32, 0)]
-    for n, seed in cases:
-        g = sample_cubic(n, seed)
+    graphs = {case: sample_cubic(*case) for case in cases}
+    pipe = build_pipeline()
+    graphs.update((name, pipe.graph(name)) for name in ("K", "H"))
+    for case, g in graphs.items():
         expected = reference_clauses(g)
-        assert statuses(residue_factor_clauses(g)) == expected, (n, seed)
-        seen |= {status for status, _ in expected.values()}
-    assert seen == {"holds", "fails", "n/a"}
+        assert statuses(residue_factor_clauses(g)) == expected, case
+        seen |= {(name, status) for name, (status, _) in expected.items()}
+    assert {status for _, status in seen} == {"holds", "fails", "n/a"}
+    assert {(name, "fails") for name in ("z3", "z4", "z5", "f2")} <= seen
 
 
 @pytest.mark.parametrize("n, seed, nodes", [(20, 0, 10), (22, 1, 10)])
