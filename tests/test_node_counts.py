@@ -172,6 +172,54 @@ def test_clause_battery_search_counts(seed, max_calls, max_nodes, searches):
 @pytest.mark.parametrize(
     "n, seed, max_calls, max_nodes",
     [
+        (20, 0, 30, 197),
+        (20, 1, 30, 184),
+        (22, 0, 123, 959),
+        (22, 1, 140, 1_113),
+        (22, 2, 132, 1_008),
+    ],
+)
+def test_clause_battery_search_counts_residues_2_and_4(
+    n, seed, max_calls, max_nodes, searches
+):
+    """The ceilings for t2 (n = 20, residue 2) and f1, f2 (n = 22,
+    residue 4), whose queries delete vertices, from before any factor was
+    reused for them; the repair rule stays well within them."""
+    report = residue_factor_clauses(sample_cubic(n, seed))
+    applicable = ("t2",) if n % 6 == 2 else ("f1", "f2")
+    assert all(report[name].status == "holds" for name in applicable)
+    assert len(searches) <= max_calls
+    assert sum(searches) <= max_nodes
+
+
+@pytest.mark.parametrize(
+    "n, seed, max_calls, max_nodes",
+    [
+        (20, 0, 5, 32),
+        (20, 1, 10, 62),
+        (26, 0, 11, 94),
+        (32, 0, 16, 227),
+        (22, 0, 105, 826),
+        (22, 1, 118, 959),
+        (22, 2, 119, 916),
+    ],
+)
+def test_clause_battery_search_counts_with_path_exchange(
+    n, seed, max_calls, max_nodes, searches
+):
+    """The ceilings reached when only queries without an edge constraint
+    reused a found factor (t2 at n = 20, 26, 32; f1 at n = 22); the repair
+    rule, which also answers f2, must not search more than that."""
+    report = residue_factor_clauses(sample_cubic(n, seed))
+    applicable = ("t2",) if n % 6 == 2 else ("f1", "f2")
+    assert all(report[name].status == "holds" for name in applicable)
+    assert len(searches) <= max_calls
+    assert sum(searches) <= max_nodes
+
+
+@pytest.mark.parametrize(
+    "n, seed, max_calls, max_nodes",
+    [
         (20, 0, 5, 26),
         (20, 1, 10, 62),
         (26, 0, 11, 94),
