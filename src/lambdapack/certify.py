@@ -56,7 +56,6 @@ labels, which are read from the graph table, cannot disagree with it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -109,8 +108,7 @@ class FactRefuted(ValueError):
 
 
 def graph_hash(g: Graph) -> str:
-    payload = f"{g.n}|" + ";".join(f"{u},{v}" for u, v in g.sorted_edges())
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return g.digest
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ would find first.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,6 +104,13 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 hex of ``"n|u,v;u,v;..."`` over the sorted edges: the
+        graph's label-free identity in certificates."""
+        payload = f"{self.n}|" + ";".join(f"{u},{v}" for u, v in self.sorted_edges())
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     @cached_property
     def label_to_id(self) -> dict[str, int]:

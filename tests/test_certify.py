@@ -210,6 +210,21 @@ def test_graph_hash_is_stable_and_label_free():
     assert graph_hash(g1) != graph_hash(atlas("S"))
 
 
+def test_graph_hash_is_the_cached_edge_digest():
+    """The hash is the SHA-256 of "n|u,v;..." over the sorted edges, kept
+    on the graph, and keeping it changes neither equality nor hashing."""
+    g = Graph.from_edges(5, [(3, 4), (0, 2), (1, 2), (0, 1)])
+    fresh = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    before = hash(g)
+    payload = "5|0,1;0,2;1,2;3,4"
+    assert graph_hash(g) == hashlib.sha256(payload.encode()).hexdigest()
+    assert graph_hash(g) is graph_hash(g) is g.digest
+    assert hash(g) == before == hash(fresh)
+    assert g == fresh and fresh == g
+    assert {fresh: "x"}[g] == "x" and {g: "y"}[fresh] == "y"
+    assert graph_hash(fresh) == graph_hash(g)
+
+
 def test_family_members_replay():
     for member in (1, 2):
         cert = replay_pipeline(family_script(member))

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -526,10 +527,14 @@ def test_labels_and_seams_do_not_change_the_search():
 def test_split_pieces_are_the_components(monkeypatch):
     """The pieces found from the removed path's neighbours are exactly the
     components a full search would find, in the same order, and a set
-    handed on as one piece is connected."""
+    handed on as one piece is connected, both when a walk alone finds the
+    pieces and when a walk hands over to the lockstep growth, as it often
+    does on random cubic graphs."""
     engine = packing._Engine
     split, comp = engine._split, engine._comp
+    frame, meet = engine._frame, engine._meet
     sizes = []
+    ways = Counter()
 
     def checked_split(self, free, slack, forced, deg, comps):
         assert comps == self._components(free)
@@ -540,14 +545,33 @@ def test_split_pieces_are_the_components(monkeypatch):
         assert len(self._components(c)) == 1
         return comp(self, c, slack, forced, deg)
 
+    def counted_meet(self, *args):
+        ways["meets"] += 1
+        return meet(self, *args)
+
+    def counted_frame(self, *args):
+        meets, splits = ways["meets"], len(sizes)
+        child = frame(self, *args)
+        if child is not None:
+            way = "walk" if ways["meets"] == meets else "handoff"
+            ways[way, "split" if len(sizes) > splits else "whole"] += 1
+        return child
+
     monkeypatch.setattr(engine, "_split", checked_split)
     monkeypatch.setattr(engine, "_comp", checked_comp)
+    monkeypatch.setattr(engine, "_meet", counted_meet)
+    monkeypatch.setattr(engine, "_frame", counted_frame)
     pipe = build_pipeline()
     graphs = [pipe.graph("R"), pipe.graph("N")]
     graphs += [sample_subcubic(30, seed) for seed in range(8)]
     for g in graphs:
         solve(PackingProblem(g, Mode.MAX))
     assert max(sizes) >= 3
+    for seed in range(3):
+        problem = PackingProblem(sample_cubic(300, seed), Mode.FACTOR)
+        solve(problem, Budget(max_nodes=2000))
+    for way in ("walk", "handoff"):
+        assert ways[way, "split"] and ways[way, "whole"], dict(ways)
 
 
 def test_solver_imports_only_the_graph_module():
