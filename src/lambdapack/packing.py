@@ -52,12 +52,10 @@ largest slack known to fail.  The main pruning rule is residue counting:
 a component of size m leaves at least m mod 3 vertices uncovered.  The
 components left by a placed path are found by walks from the path's free
 neighbours, lowest first: a walk that stops is a whole component, and one
-that reaches every neighbour left holds the rest.  A walk whose last
-layer outgrows the neighbours it has not reached hands over to growing
-them all in lockstep until they meet.  So a small piece cut off by a
-small edge cut (as the composition operators leave behind) is found, and
-at slack 0 pruned, after a walk of its own size; the search needs no
-annotation of where those cuts are.
+that reaches every neighbour left holds the rest.  So a small piece cut
+off by a small edge cut (as the composition operators leave behind) is
+found, and at slack 0 pruned, after a walk of its own size; the search
+needs no annotation of where those cuts are.
 
 Budgets (node count and wall time) turn an unfinished search into an
 explicit INDETERMINATE result, never a silent wrong answer; both are read
@@ -591,11 +589,9 @@ class _Engine:
         holds one of them.  So the pieces are found by a walk from the
         lowest of those neighbours not yet placed: a walk that stops is a
         whole piece, and the next walk starts from the next one; a walk
-        that holds every one left is the rest.  When a walk's last layer
-        holds more vertices than the neighbours it has not reached, it
-        hands over to ``_meet``, which grows them towards each other.  When
-        the first walk holds them all, ``rest`` is connected and the
-        component split is skipped.
+        that reaches every one left holds the rest.  When the first walk
+        reaches them all, ``rest`` is connected and the component split is
+        skipped.
         """
         near &= rest
         adj = self.adj
@@ -604,7 +600,7 @@ class _Engine:
         while left:
             group = layer = left & -left
             left ^= group
-            while layer and left and layer.bit_count() <= left.bit_count():
+            while layer and left:
                 nxt = 0
                 while layer:
                     b = layer & -layer
@@ -613,17 +609,12 @@ class _Engine:
                 layer = nxt & rest & ~group
                 group |= layer
                 left &= ~layer
-            if not layer:  # the walk stopped: a whole piece
-                if not slack and group.bit_count() % 3:
-                    self.stats.prunes["residue"] += 1
-                    return None
-                pieces.append(group)
-                continue
-            if left:  # the walk outgrew the neighbours it has not reached
-                groups = [(group, layer)] + [(1 << v, 1 << v) for v in _bits(left)]
-                if not self._meet(rest, slack, groups, pieces):
-                    return None
-            break
+            if layer:  # the walk reached every neighbour left: the rest
+                break
+            if not slack and group.bit_count() % 3:
+                self.stats.prunes["residue"] += 1
+                return None
+            pieces.append(group)
         deg = self._degrees(rest, deg, near)
         last = rest
         for piece in pieces:
@@ -634,46 +625,6 @@ class _Engine:
             return self._comp(rest, slack, forced, deg)
         pieces.sort(key=lambda c: c & -c)
         return self._split(rest, slack, forced, deg, pieces)
-
-    def _meet(
-        self, rest: int, slack: int, groups: list[tuple[int, int]], pieces: list[int]
-    ) -> bool:
-        """Grow ``groups`` (each a vertex set and its last layer) inside
-        ``rest`` in lockstep, merging groups that meet, until at most one
-        still grows.  A group that stops is a whole piece and goes to
-        ``pieces``; False when, at slack 0, one has a residue.  Growing the
-        neighbours a walk has not reached towards it meets in the middle,
-        where the walk alone would sweep most of a large piece to reach
-        them."""
-        adj = self.adj
-        while len(groups) > 1:
-            grown: list[tuple[int, int]] = []
-            seen = 0
-            for group, layer in groups:
-                nxt = 0
-                while layer:
-                    b = layer & -layer
-                    layer ^= b
-                    nxt |= adj[b.bit_length() - 1]
-                layer = nxt & rest & ~group
-                group |= layer
-                if group & seen:  # it meets groups grown before it
-                    for other in [o for o in grown if o[0] & group]:
-                        grown.remove(other)
-                        group |= other[0]
-                        layer |= other[1]
-                seen |= group
-                grown.append((group, layer))
-            groups = []
-            for group, layer in grown:
-                if layer:
-                    groups.append((group, layer))
-                elif not slack and group.bit_count() % 3:
-                    self.stats.prunes["residue"] += 1
-                    return False
-                else:
-                    pieces.append(group)
-        return True
 
     # -- witnesses built without a search: the two greedies (the witness
     # phases, and the lower bound when a budget runs out) and the battery's

@@ -1,8 +1,10 @@
-"""Search node counts as upper bounds.
+"""Search node counts as upper bounds, and the pipeline's exact counts.
 
 Node counts are deterministic, unlike wall times, so they are the
 regression gate of the solver: a change that makes any of these searches
-larger has to say why and move the bound.
+larger has to say why and move the bound.  The pipeline stages' node and
+prune counts are also pinned exactly, because ``lambdapack solve`` prints
+them: a change that moves any of them has to say why.
 """
 
 import functools
@@ -46,6 +48,27 @@ def test_pipeline_node_counts(name, mode, target, verdict, max_nodes):
     r = solve(PackingProblem(pipeline_graph(name), mode), target=target)
     assert r.verdict == verdict
     assert r.stats.nodes <= max_nodes
+
+
+@pytest.mark.parametrize(
+    "name, mode, verdict, nodes, prunes",
+    [
+        ("K", Mode.FACTOR, "SAT", 6, {"residue": 9}),
+        ("K", Mode.MAX, "OPTIMUM", 6, {"residue": 9}),
+        ("R", Mode.FACTOR, "UNSAT", 138, {"memo_hit": 39, "residue": 361}),
+        ("R", Mode.MAX, "OPTIMUM", 138, {"memo_hit": 39, "residue": 361}),
+        ("H", Mode.MAX, "OPTIMUM", 10, {"residue": 6}),
+        ("D", Mode.MAX, "OPTIMUM", 20, {"residue": 36}),
+        ("F", Mode.FACTOR, "SAT", 70, {"memo_hit": 21, "residue": 130}),
+        ("F", Mode.MAX, "OPTIMUM", 70, {"memo_hit": 21, "residue": 130}),
+        ("N", Mode.FACTOR, "UNSAT", 97, {"memo_hit": 37, "residue": 204}),
+        ("N", Mode.MAX, "OPTIMUM", 97, {"memo_hit": 37, "residue": 204}),
+    ],
+)
+def test_pipeline_prune_counts_are_pinned(name, mode, verdict, nodes, prunes):
+    """H (28 vertices) and D (46) have no FACTOR query: 3 divides neither."""
+    r = solve(PackingProblem(pipeline_graph(name), mode))
+    assert (r.verdict, r.stats.nodes, dict(r.stats.prunes)) == (verdict, nodes, prunes)
 
 
 def test_random_cubic_factor_within_budget():

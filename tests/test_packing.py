@@ -525,14 +525,13 @@ def test_labels_and_seams_do_not_change_the_search():
 
 
 def test_split_pieces_are_the_components(monkeypatch):
-    """The pieces found from the removed path's neighbours are exactly the
-    components a full search would find, in the same order, and a set
-    handed on as one piece is connected, both when a walk alone finds the
-    pieces and when a walk hands over to the lockstep growth, as it often
-    does on random cubic graphs."""
+    """The pieces found by walks from the removed path's neighbours are
+    exactly the components a full search would find, in the same order,
+    and a set handed on as one piece is connected, on the paper's graphs
+    and on random cubic graphs, where a walk sweeps most of a large piece
+    before it reaches the neighbours left."""
     engine = packing._Engine
-    split, comp = engine._split, engine._comp
-    frame, meet = engine._frame, engine._meet
+    split, comp, frame = engine._split, engine._comp, engine._frame
     sizes = []
     ways = Counter()
 
@@ -545,21 +544,15 @@ def test_split_pieces_are_the_components(monkeypatch):
         assert len(self._components(c)) == 1
         return comp(self, c, slack, forced, deg)
 
-    def counted_meet(self, *args):
-        ways["meets"] += 1
-        return meet(self, *args)
-
     def counted_frame(self, *args):
-        meets, splits = ways["meets"], len(sizes)
+        splits = len(sizes)
         child = frame(self, *args)
         if child is not None:
-            way = "walk" if ways["meets"] == meets else "handoff"
-            ways[way, "split" if len(sizes) > splits else "whole"] += 1
+            ways["split" if len(sizes) > splits else "whole"] += 1
         return child
 
     monkeypatch.setattr(engine, "_split", checked_split)
     monkeypatch.setattr(engine, "_comp", checked_comp)
-    monkeypatch.setattr(engine, "_meet", counted_meet)
     monkeypatch.setattr(engine, "_frame", counted_frame)
     pipe = build_pipeline()
     graphs = [pipe.graph("R"), pipe.graph("N")]
@@ -570,8 +563,7 @@ def test_split_pieces_are_the_components(monkeypatch):
     for seed in range(3):
         problem = PackingProblem(sample_cubic(300, seed), Mode.FACTOR)
         solve(problem, Budget(max_nodes=2000))
-    for way in ("walk", "handoff"):
-        assert ways[way, "split"] and ways[way, "whole"], dict(ways)
+    assert ways["split"] and ways["whole"], dict(ways)
 
 
 def test_solver_imports_only_the_graph_module():
