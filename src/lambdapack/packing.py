@@ -15,16 +15,20 @@ All of them ask one question: find a packing of the free vertices that
 leaves at most ``slack`` of them uncovered and covers every forced edge.
 FACTOR is slack 0; ``target=k`` is slack live - 3k; MAX starts at the
 residue bound, the sum over components of (size mod 3), and raises the
-slack by 3 until it is met, so the first success is optimal.
+slack by 3 until it is met, so the first success is optimal.  No packing
+leaves fewer than live mod 3 vertices uncovered either, and that needs no
+walk over the components, so MAX tries the lowest-id greedy there first
+and walks the components only when it misses.
 :func:`enumerate_factors` is a client of ``solve``.
 
 Every mode first tries a witness phase: a greedy packing that covers the
 forced edges and then the lowest-id free vertex each time, built without
 backtracking and at no search node, which gives up as soon as it has
 dropped more than ``slack`` vertices.  When it meets the mode's first
-slack (for MAX the residue bound, a lower bound on the uncovered vertices
-of any packing, so the greedy packing is optimal; for ``target=k`` it
-stops at k paths) it is the answer.  Where a witness is expected, a second
+slack (for MAX live mod 3, then, if that misses and the residue bound is
+larger, the bound: each a lower bound on the uncovered vertices of any
+packing, so the greedy packing is optimal; for ``target=k`` it stops at k
+paths) it is the answer.  Where a witness is expected, a second
 greedy with the same contract follows: the fewest-candidates rule of
 Knuth's Algorithm X, for ``target=k`` after the first misses, and in MAX at
 each slack s + 3 once the search has refuted s, so a hit is optimal.  It
@@ -62,9 +66,11 @@ explicit INDETERMINATE result, never a silent wrong answer; both are read
 before any work, so a zero budget ends every query INDETERMINATE.  Every
 witness ``solve`` returns (SAT, OPTIMUM, or the INDETERMINATE lower bound)
 is re-checked by :func:`check_packing`, and every UNSAT comes from an
-exhaustive search.  The re-check works on an int mask of vertices but
-shares no logic or state with the search: it reads only the graph's edge
-set and the problem's own sets, not the search's adjacency masks.
+exhaustive search.  The re-check shares no logic or state with the
+search: it reads only the graph's edge set and the problem's own sets,
+not the search's adjacency masks.  It checks the whole witness first, with
+a few set operations, and only when that fails goes path by path to name
+the first fault.
 
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
 nearly all satisfiable.  It keeps each factor it finds with the set of its
@@ -72,7 +78,8 @@ edges, and answers each query from one of them by set operations on the
 query's own edge sets: as it is when one fits, or else repaired: a found
 factor less its paths that meet the query's deleted vertices, use a
 deleted or forbidden edge or touch a forced edge it misses, with the hole
-left re-covered by one or two paths.  It searches only the rest.
+left re-covered by one or two paths that avoid the deleted and forbidden
+edges.  It searches only the rest.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Generator, Iterable, Iterator
 
 from .graph import CutReport, Edge, Graph, GraphError, is_cubic, norm_edge
@@ -242,6 +250,8 @@ class _BudgetExceeded(Exception):
 # Path enumeration and witness checking
 # ----------------------------------------------------------------------
 
+_U, _V, _W = attrgetter("u"), attrgetter("v"), attrgetter("w")
+
 
 def enumerate_paths(
     g: Graph, problem: PackingProblem | None = None
@@ -270,11 +280,17 @@ def check_packing(
     """Re-verify a claimed packing against the problem; raises on any violation.
 
     Independent of the solver: it reads only ``problem.graph.edges`` and
-    the problem's own sets, and checks, in this order, each vertex (in
-    range, live, not covered before) and each edge (a graph edge, not
-    deleted or forbidden) of each path, then forced-edge coverage, then
-    (FACTOR mode) full coverage.  Vertices are tracked in one int mask.
+    the problem's own sets.  The whole witness is checked first with a few
+    set operations (:func:`_witness_holds`).  Only when that fails does the
+    path-by-path check run, which raises the first fault: it checks, in
+    this order, each vertex (in range, live, not covered before) and each
+    edge (a graph edge, not deleted or forbidden) of each path, then
+    forced-edge coverage, then (FACTOR mode) full coverage.  Vertices are
+    tracked in one int mask.
     """
+    paths = list(paths)
+    if _witness_holds(problem, paths):
+        return
     g = problem.graph
     n, edges = g.n, g.edges
     banned = problem.deleted_edges | problem.forbidden_edges
@@ -306,9 +322,52 @@ def check_packing(
         raise PackingError(f"factor misses vertices {_bits(alive & ~used)}")
 
 
+def _witness_holds(problem: PackingProblem, paths: list[LambdaPath]) -> bool:
+    """True when ``paths`` is a valid packing of ``problem``, checked over
+    the whole witness with a few set operations: every path a
+    ``LambdaPath`` and every vertex an ``int`` (so no float equal to an int
+    passes), live and covered once; every path edge a graph edge (which
+    puts its ends in range), neither deleted nor forbidden; the forced
+    edges among the path edges; in FACTOR, every live vertex covered.
+    False sends ``check_packing`` to the path-by-path check, which finds
+    the first fault."""
+    if not set(map(type, paths)) <= {LambdaPath}:
+        return False
+    us = list(map(_U, paths))
+    vs = list(map(_V, paths))
+    ws = list(map(_W, paths))
+    every = us + vs + ws
+    if not set(map(type, every)) <= {int}:
+        return False
+    seen = set(every)
+    if len(seen) < len(every) or not seen.isdisjoint(problem.deleted_vertices):
+        return False
+    # each path edge as (end, center) and (center, end); the graph's edges
+    # are (low, high), so those it lacks must be graph edges reversed
+    edges = problem.graph.edges
+    pairs = set(zip(us, vs))
+    pairs.update(zip(vs, ws))
+    flipped = {(b, a) for a, b in pairs - edges}
+    if not flipped <= edges:
+        return False
+    for banned in (problem.deleted_edges, problem.forbidden_edges):
+        if not (pairs.isdisjoint(banned) and flipped.isdisjoint(banned)):
+            return False
+    if not problem.forced_edges - pairs <= flipped:
+        return False
+    live = problem.graph.n - len(problem.deleted_vertices)
+    return problem.mode != Mode.FACTOR or len(seen) == live
+
+
 # ----------------------------------------------------------------------
 # Search engine
 # ----------------------------------------------------------------------
+
+
+def _uses(path: Triple, edges: frozenset[Edge]) -> bool:
+    """Whether the path ``path`` has an edge in ``edges``."""
+    a, b, c = path
+    return norm_edge(a, b) in edges or norm_edge(b, c) in edges
 
 
 def _bits(mask: int) -> list[int]:
@@ -776,21 +835,27 @@ class _Engine:
                     heappush(heap, (k, x))
         return out if live - 3 * len(out) <= slack else None
 
-    def cover_hole(self, hole: int) -> list[Triple] | None:
-        """One or two paths that cover exactly the vertices of ``hole``, or
-        None when none do or the hole has more than 6 vertices.  Each path
-        through the hole's lowest vertex is tried, and the 3 vertices it
-        leaves must form a path.  It costs no search node."""
+    def cover_hole(self, hole: int, cut: frozenset[Edge]) -> list[Triple] | None:
+        """One or two paths that cover exactly the vertices of ``hole`` and
+        use no edge of ``cut``, or None when none do or the hole has more
+        than 6 vertices.  Each path through the hole's lowest vertex is
+        tried, and the 3 vertices it leaves must form a path.  It costs no
+        search node."""
         if not hole:
             return []
         if hole.bit_count() > 6:
             return None
-        for path in self._paths_covering((hole & -hole).bit_length() - 1, hole):
+
+        def allowed(within: int) -> Iterator[Triple]:
+            """The paths through the lowest vertex of ``within`` that avoid ``cut``."""
+            paths = self._paths_covering((within & -within).bit_length() - 1, within)
+            return (t for t in paths if not _uses(t, cut)) if cut else paths
+
+        for path in allowed(hole):
             rest = hole & ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
             if not rest:
                 return [path]
-            low = (rest & -rest).bit_length() - 1
-            last = next(self._paths_covering(low, rest), None)
+            last = next(allowed(rest), None)
             if last is not None:
                 return [path, last]
         return None
@@ -810,12 +875,16 @@ def solve(
     """Answer a problem; see the module docstring.
 
     The budget is read once before any work, then the lowest-id greedy
-    runs at the mode's slack (FACTOR 0, MAX the residue bound, ``target=k``
+    runs at the mode's slack (FACTOR 0, MAX live mod 3, ``target=k``
     live - 3k and at most k paths).  For ``target=k`` the fewest-candidates
     greedy runs next at the same slack, and the exact search only when both
     miss.  FACTOR runs the search when the lowest-id greedy misses.  MAX
-    searches slack s, then tries the fewest-candidates greedy at s + 3
-    (optimal there, as s is refuted) before it searches s + 3.
+    walks the components for the residue bound only when the greedy
+    misses, and runs it again at the bound when that is larger; then it
+    searches slack s, from the bound, and tries the fewest-candidates
+    greedy at s + 3 (optimal there, as s is refuted) before it searches
+    s + 3.  Each witness is re-checked by :func:`check_packing`: the whole
+    witness by set operations, then, only if that fails, path by path.
     ``target`` (MAX mode only, >= 0) asks for any packing of size >= target and
     returns SAT/UNSAT instead of OPTIMUM.  A SAT witness has exactly
     ``target`` paths, unless the paths covering forced edges outnumber it.
@@ -853,10 +922,17 @@ def solve(
                     others = [p for p in wit if p not in on_forced]
                     wit = on_forced + others[: max(0, target - len(on_forced))]
             return _finish(problem, engine, "SAT" if wit is not None else "UNSAT", wit)
-        # MAX: the least slack that succeeds gives the optimum, and no
-        # packing leaves fewer vertices uncovered than the residue bound
-        slack = sum(c.bit_count() % 3 for c in engine._components(alive))
+        # MAX: the least slack that succeeds gives the optimum.  No packing
+        # leaves fewer than live mod 3 vertices uncovered, nor fewer than the
+        # residue bound, which the component walk finds only when greedy
+        # misses at live mod 3; greedy runs again only where the bound is
+        # larger, as it builds the same packing at any slack
+        slack = live % 3
         wit = engine.greedy(forced, slack)
+        if wit is None:
+            slack = sum(c.bit_count() % 3 for c in engine._components(alive))
+            if slack > live % 3:
+                wit = engine.greedy(forced, slack)
         while wit is None and slack <= live:
             wit = engine.search(alive, slack, forced)
             slack += 3
@@ -878,9 +954,8 @@ def _finish(
     engine.stats.elapsed = time.monotonic() - engine.start
     paths = value = None
     if triples is not None:
-        paths = tuple(
-            sorted((LambdaPath.of(*t) for t in triples), key=lambda p: p.vertices)
-        )
+        # the engine's triples are canonical, so they sort as their paths do
+        paths = tuple(LambdaPath(*t) for t in sorted(triples))
         check_packing(problem, paths)
         value = len(paths)
     return PackingResult(verdict, value, paths, engine.stats)
@@ -1010,9 +1085,11 @@ def residue_factor_clauses(
     its paths that meet the deleted vertices, use a deleted or forbidden
     edge or touch a forced edge W misses, and ``_Engine.cover_hole``
     re-covers the hole left (at most 6 vertices) with one or two paths of
-    G, without a search; the result is the answer if the added paths avoid
-    the deleted and forbidden edges and its edges hold the forced ones, and
-    it is kept.
+    G, without a search; the result is the answer if its edges hold the
+    forced ones, and it is kept.  The first cover of each hole is tried
+    first, and one that uses a deleted or forbidden edge is set aside;
+    only when no factor fits that way are the holes set aside covered
+    again by paths that avoid those edges, newest first.
     Every answer is re-checked by :func:`check_packing`.  Only the other
     queries are searched, each under its own ``budget``, so every "fails"
     and every "indeterminate" comes from a search of that same query; a
@@ -1042,6 +1119,11 @@ def residue_factor_clauses(
             if dead == gone and cut.isdisjoint(used) and forced <= used:
                 check_packing(prob, paths)
                 return True
+        # newest first, a found factor whose hole's first cover uses no cut
+        # edge; then, newest first, those whose first cover did, covered by
+        # paths that avoid the cut.  Trying those last keeps the factors the
+        # battery stores, and so its searches, wherever a first cover fits.
+        blocked = []
         for dead, paths, used, at in reversed(factors):
             # the hole: the factor's deleted vertices and its paths that
             # meet the query's deleted vertices, use a cut edge or touch a
@@ -1053,20 +1135,37 @@ def residue_factor_clauses(
                 hole |= at[u]
             for u, v in forced - used:
                 hole |= at[u] | at[v]
-            fill = engine.cover_hole(hole & ~gone)
+            fill = engine.cover_hole(hole & ~gone, frozenset())
             if fill is None:
                 continue
-            added = tuple(LambdaPath.of(*t) for t in fill)
-            # the kept paths use no cut edge, so only the added ones can
-            if any(e in cut for p in added for e in p.edges):
-                continue
-            paths = tuple(p for p in paths if not p.mask & hole) + added
-            if not forced <= {e for p in paths for e in p.edges}:
-                continue
-            check_packing(prob, paths)
-            keep(prob, paths)
-            return True
-        return False
+            if cut and any(_uses(t, cut) for t in fill):
+                blocked.append((hole, paths))
+            elif fits(prob, hole, paths, fill):
+                return True
+        return any(
+            fits(prob, hole, paths, engine.cover_hole(hole & ~gone, cut))
+            for hole, paths in blocked
+        )
+
+    def fits(
+        prob: PackingProblem,
+        hole: int,
+        paths: tuple[LambdaPath, ...],
+        fill: list[Triple] | None,
+    ) -> bool:
+        """True when the found factor ``paths``, less its paths that meet
+        ``hole`` and with ``fill`` added, covers the forced edges; the
+        result, a factor of ``prob``, is re-checked and kept."""
+        if fill is None:
+            return False
+        paths = tuple(p for p in paths if not p.mask & hole) + tuple(
+            LambdaPath.of(*t) for t in fill
+        )
+        if not prob.forced_edges <= {e for p in paths for e in p.edges}:
+            return False
+        check_packing(prob, paths)
+        keep(prob, paths)
+        return True
 
     def keep(prob: PackingProblem, paths: tuple[LambdaPath, ...]) -> None:
         at = [0] * g.n

@@ -165,6 +165,21 @@ def test_long_path_node_counts(swap, max_nodes, mode):
     assert r.stats.nodes <= max_nodes
 
 
+def test_max_greedy_first_skips_the_component_walk(monkeypatch):
+    """Greedy leaves none of P_3000 uncovered, which meets live mod 3, so
+    MAX answers without the component walk for the residue bound."""
+    walks = []
+    components = packing._Engine._components
+
+    def spy(self, free):
+        walks.append(free)
+        return components(self, free)
+
+    monkeypatch.setattr(packing._Engine, "_components", spy)
+    r = solve(PackingProblem(long_path(3000, False), Mode.MAX))
+    assert (r.verdict, r.value, r.stats.nodes, walks) == ("OPTIMUM", 1000, 0, [])
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """The node count of each search the clause battery runs."""

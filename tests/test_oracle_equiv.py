@@ -38,6 +38,27 @@ def test_atlas_agreement_both_modes():
             _agree(PackingProblem(g, Mode.FACTOR))
 
 
+def test_max_when_the_residue_bound_exceeds_live_mod_3(monkeypatch):
+    """P_2 + P_4: live mod 3 is 0 but the residue bound is 2 + 1 = 3, so
+    greedy misses at slack 0 and runs again at the bound, where it meets
+    the oracle's optimum."""
+    slacks = []
+    greedy = packing._Engine.greedy
+
+    def spy(self, forced, slack, paths=None):
+        slacks.append(slack)
+        return greedy(self, forced, slack, paths)
+
+    monkeypatch.setattr(packing._Engine, "greedy", spy)
+    g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    problem = PackingProblem(g, Mode.MAX)
+    r = solve(problem)
+    assert slacks == [0, 3]
+    assert (r.verdict, r.value) == ("OPTIMUM", oracle_solve(problem).value)
+    assert r.value == 1
+    check_packing(problem, r.paths)
+
+
 def test_oracle_frozen_values():
     assert oracle_solve(PackingProblem(atlas("Q"), Mode.MAX)).value == 2
     assert oracle_solve(PackingProblem(atlas("K33"), Mode.MAX)).value == 2
