@@ -24,7 +24,10 @@ DOT uses vertex labels as node names (so files are human-readable) and an
     }
 
 DOT export therefore requires labels to be unique, which every graph built
-by this package guarantees.  ``from_dot`` parses exactly the subset emitted
+by this package guarantees.  ``from_dot`` reads one statement per line, so
+DOT export also rejects a label holding a character that ``str.splitlines``
+breaks on (``\\n``, ``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``,
+``\\u2028``, ``\\u2029``).  ``from_dot`` parses exactly the subset emitted
 by ``to_dot``; both formats round-trip bit-identically.
 """
 
@@ -147,9 +150,13 @@ def _unquote(s: str) -> str:
 
 
 def to_dot(g: Graph) -> str:
-    """Emit DOT with labels as node names; requires unique labels."""
+    """Emit DOT with labels as node names; requires unique labels without
+    line breaks."""
     if len(set(g.labels)) != g.n:
         raise GraphError("DOT export requires unique vertex labels")
+    for lab in g.labels:
+        if "".join(lab.splitlines()) != lab:
+            raise GraphError(f"DOT export rejects the line break in label {lab!r}")
     lines = ["graph G {"]
     for i in range(g.n):
         lines.append(f"  {_quote(g.labels[i])} [id={i}];")

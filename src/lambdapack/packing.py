@@ -78,8 +78,8 @@ edges, and answers each query from one of them by set operations on the
 query's own edge sets: as it is when one fits, or else repaired: a found
 factor less its paths that meet the query's deleted vertices, use a
 deleted or forbidden edge or touch a forced edge it misses, with the hole
-left re-covered by one or two paths that avoid the deleted and forbidden
-edges.  It searches only the rest.
+left covered once by one or two paths, kept only when those avoid the
+deleted and forbidden edges.  It searches only the rest.
 """
 
 from __future__ import annotations
@@ -835,27 +835,21 @@ class _Engine:
                     heappush(heap, (k, x))
         return out if live - 3 * len(out) <= slack else None
 
-    def cover_hole(self, hole: int, cut: frozenset[Edge]) -> list[Triple] | None:
-        """One or two paths that cover exactly the vertices of ``hole`` and
-        use no edge of ``cut``, or None when none do or the hole has more
-        than 6 vertices.  Each path through the hole's lowest vertex is
-        tried, and the 3 vertices it leaves must form a path.  It costs no
-        search node."""
+    def cover_hole(self, hole: int) -> list[Triple] | None:
+        """One or two paths that cover exactly the vertices of ``hole``, or
+        None when none do or the hole has more than 6 vertices.  Each path
+        through the hole's lowest vertex is tried, and the 3 vertices it
+        leaves must form a path.  It costs no search node."""
         if not hole:
             return []
         if hole.bit_count() > 6:
             return None
-
-        def allowed(within: int) -> Iterator[Triple]:
-            """The paths through the lowest vertex of ``within`` that avoid ``cut``."""
-            paths = self._paths_covering((within & -within).bit_length() - 1, within)
-            return (t for t in paths if not _uses(t, cut)) if cut else paths
-
-        for path in allowed(hole):
+        for path in self._paths_covering((hole & -hole).bit_length() - 1, hole):
             rest = hole & ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
             if not rest:
                 return [path]
-            last = next(allowed(rest), None)
+            low = (rest & -rest).bit_length() - 1
+            last = next(self._paths_covering(low, rest), None)
             if last is not None:
                 return [path, last]
         return None
@@ -1085,11 +1079,10 @@ def residue_factor_clauses(
     its paths that meet the deleted vertices, use a deleted or forbidden
     edge or touch a forced edge W misses, and ``_Engine.cover_hole``
     re-covers the hole left (at most 6 vertices) with one or two paths of
-    G, without a search; the result is the answer if its edges hold the
-    forced ones, and it is kept.  The first cover of each hole is tried
-    first, and one that uses a deleted or forbidden edge is set aside;
-    only when no factor fits that way are the holes set aside covered
-    again by paths that avoid those edges, newest first.
+    G, without a search; the result is the answer if the added paths avoid
+    the deleted and forbidden edges and its edges hold the forced ones, and
+    it is kept.  Each hole is covered once: a factor whose cover uses a
+    deleted or forbidden edge is skipped.
     Every answer is re-checked by :func:`check_packing`.  Only the other
     queries are searched, each under its own ``budget``, so every "fails"
     and every "indeterminate" comes from a search of that same query; a
@@ -1119,11 +1112,6 @@ def residue_factor_clauses(
             if dead == gone and cut.isdisjoint(used) and forced <= used:
                 check_packing(prob, paths)
                 return True
-        # newest first, a found factor whose hole's first cover uses no cut
-        # edge; then, newest first, those whose first cover did, covered by
-        # paths that avoid the cut.  Trying those last keeps the factors the
-        # battery stores, and so its searches, wherever a first cover fits.
-        blocked = []
         for dead, paths, used, at in reversed(factors):
             # the hole: the factor's deleted vertices and its paths that
             # meet the query's deleted vertices, use a cut edge or touch a
@@ -1135,37 +1123,19 @@ def residue_factor_clauses(
                 hole |= at[u]
             for u, v in forced - used:
                 hole |= at[u] | at[v]
-            fill = engine.cover_hole(hole & ~gone, frozenset())
-            if fill is None:
+            fill = engine.cover_hole(hole & ~gone)
+            # the kept paths use no cut edge, so only the added ones can
+            if fill is None or any(_uses(t, cut) for t in fill):
                 continue
-            if cut and any(_uses(t, cut) for t in fill):
-                blocked.append((hole, paths))
-            elif fits(prob, hole, paths, fill):
-                return True
-        return any(
-            fits(prob, hole, paths, engine.cover_hole(hole & ~gone, cut))
-            for hole, paths in blocked
-        )
-
-    def fits(
-        prob: PackingProblem,
-        hole: int,
-        paths: tuple[LambdaPath, ...],
-        fill: list[Triple] | None,
-    ) -> bool:
-        """True when the found factor ``paths``, less its paths that meet
-        ``hole`` and with ``fill`` added, covers the forced edges; the
-        result, a factor of ``prob``, is re-checked and kept."""
-        if fill is None:
-            return False
-        paths = tuple(p for p in paths if not p.mask & hole) + tuple(
-            LambdaPath.of(*t) for t in fill
-        )
-        if not prob.forced_edges <= {e for p in paths for e in p.edges}:
-            return False
-        check_packing(prob, paths)
-        keep(prob, paths)
-        return True
+            paths = tuple(p for p in paths if not p.mask & hole) + tuple(
+                LambdaPath.of(*t) for t in fill
+            )
+            if not forced <= {e for p in paths for e in p.edges}:
+                continue
+            check_packing(prob, paths)
+            keep(prob, paths)
+            return True
+        return False
 
     def keep(prob: PackingProblem, paths: tuple[LambdaPath, ...]) -> None:
         at = [0] * g.n

@@ -16,8 +16,11 @@ the vertex's leftmost neighbor, clockwise.  A non-planar verdict comes with
 an edge set forming a subdivision of K5 or K3,3, found by networkx's
 deletion loop: visit the vertices in ascending order and each one's current
 neighbors in list order, drop the edge when the rest stays non-planar, and
-otherwise put it back at the end of both lists.  The edges left are
-edge-minimal non-planar, hence a Kuratowski subdivision.
+otherwise put it back at the end of both lists.  Each edge is tested once,
+at its lower end: networkx tests a kept edge again at its upper end, where
+it is always kept again, and the LR verdict does not depend on list order,
+so the witness is the same.  The edges left are edge-minimal non-planar,
+hence a Kuratowski subdivision.
 
 Neither witness has to be trusted: ``verify_rotation_system`` re-counts
 faces and checks Euler's formula per component, and ``verify_kuratowski``
@@ -49,11 +52,14 @@ def is_planar(g: Graph) -> PlanarityReport:
         lr = _LR(g.n, adj)
         if lr.test():
             return PlanarityReport(True, lr.embed(), None)
-    # the deletion loop; an edge already kept at its lower end is tested
-    # again at its upper end, as networkx does
+    # the deletion loop; an edge still here at its upper end was kept at
+    # its lower end, and the graph has only lost edges since, so a test
+    # there would keep it again
     keep: set[Edge] = set()
     for u in range(g.n):
         for v in list(adj[u]):
+            if v < u:
+                continue
             adj[u].remove(v)
             adj[v].remove(u)
             if _dense(g.n, m - 1) or not _LR(g.n, adj).test():

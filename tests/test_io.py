@@ -105,8 +105,9 @@ def test_json_label_keys_are_vertex_ids_and_labels_strings(labels):
 
 
 def test_dot_round_trip():
-    for name in ("K4", "K33", "Q", "S"):
-        g = atlas(name)
+    # the last graph has an empty label, a quote, a backslash and a tab
+    odd = Graph.from_edges(3, [(0, 1), (1, 2)], ["", ' "\\ ', "\t"])
+    for g in [atlas(name) for name in ("K4", "K33", "Q", "S")] + [odd]:
         assert from_dot(to_dot(g)) == g
 
 
@@ -121,6 +122,17 @@ def test_dot_round_trip_composite_labels():
 def test_dot_requires_unique_labels():
     g = Graph.from_edges(2, [(0, 1)], labels=["x", "x"])
     with pytest.raises(GraphError):
+        to_dot(g)
+
+
+@pytest.mark.parametrize(
+    "brk",
+    ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+)
+def test_dot_rejects_labels_with_line_breaks(brk):
+    # from_dot reads one statement per line, so such a label cannot round-trip
+    g = Graph.from_edges(2, [(0, 1)], [f"a{brk}b", "c"])
+    with pytest.raises(GraphError, match="line break"):
         to_dot(g)
 
 

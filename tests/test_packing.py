@@ -429,21 +429,16 @@ def test_fewest_greedy_matches_a_full_recount(sample, seed):
         assert engine.greedy_fewest((), live) == _reference_fewest(engine, engine.alive_mask)
 
 
-def _splits_into_paths(g, hole, cut=frozenset()):
-    """Whether the vertex set ``hole`` splits into 3-vertex paths of ``g``
-    that use no edge of ``cut``, by trying every path through its lowest
-    vertex."""
+def _splits_into_paths(g, hole):
+    """Whether the vertex set ``hole`` splits into 3-vertex paths of ``g``,
+    by trying every path through its lowest vertex."""
     if not hole:
         return True
     low = min(hole)
-
-    def usable(a, b):
-        return g.has_edge(a, b) and tuple(sorted((a, b))) not in cut
-
     for pair in itertools.combinations(sorted(hole - {low}), 2):
         t = (low, *pair)
-        if any(all(usable(c, x) for x in t if x != c) for c in t):
-            if _splits_into_paths(g, hole - set(t), cut):
+        if any(all(g.has_edge(c, x) for x in t if x != c) for c in t):
+            if _splits_into_paths(g, hole - set(t)):
                 return True
     return False
 
@@ -453,19 +448,17 @@ def test_cover_hole_covers_exactly_or_says_it_cannot(seed):
     """An empty hole needs no path; a hole of 3 or 6 vertices is covered
     exactly by paths of the graph inside it whenever such paths exist, and
     is None otherwise; a hole of more than 6 vertices is None even when it
-    could be covered.  With banned edges, the paths avoid them, and the
-    answer is None only when every cover of the hole uses one."""
+    could be covered."""
     g = sample_cubic(18, seed)
     engine = packing._Engine(PackingProblem(g, Mode.MAX), Budget())
-    none = frozenset()
-    assert engine.cover_hole(0, none) == []
+    assert engine.cover_hole(0) == []
     paths = [set(p.vertices) for p in enumerate_paths(g)]
     pairs = [p | q for p, q in itertools.combinations(paths, 2) if not p & q]
     rng = random.Random(seed)
     drawn = [set(rng.sample(range(g.n), k)) for k in (3, 6) for _ in range(300)]
     outcomes = set()
     for hole in paths + pairs + drawn:
-        fill = engine.cover_hole(sum(1 << v for v in hole), none)
+        fill = engine.cover_hole(sum(1 << v for v in hole))
         outcomes.add((len(hole), fill is None))
         if fill is None:
             assert not _splits_into_paths(g, hole), hole
@@ -483,28 +476,9 @@ def test_cover_hole_covers_exactly_or_says_it_cannot(seed):
         if len(p | q | r) == 9
     )
     assert _splits_into_paths(g, triple)
-    assert engine.cover_hole(sum(1 << v for v in triple), none) is None
+    assert engine.cover_hole(sum(1 << v for v in triple)) is None
     seven = set(rng.sample(range(g.n), 7))
-    assert engine.cover_hole(sum(1 << v for v in seven), none) is None
-    # banned edges: one or two edges inside each coverable hole; where the
-    # first cover uses one, another cover may still avoid them
-    banned_outcomes = set()
-    for hole in paths + pairs:
-        inside = sorted(e for e in g.edges if set(e) <= hole)
-        cut = frozenset(rng.sample(inside, min(len(inside), rng.choice((1, 2)))))
-        mask = sum(1 << v for v in hole)
-        first = engine.cover_hole(mask, none)
-        fill = engine.cover_hole(mask, cut)
-        hit = any(e in cut for t in first for e in LambdaPath.of(*t).edges)
-        banned_outcomes.add((hit, fill is None))
-        if fill is None:
-            assert not _splits_into_paths(g, hole, cut), (hole, cut)
-            continue
-        assert sorted(v for t in fill for v in t) == sorted(hole)
-        for t in fill:
-            path = LambdaPath.of(*t)
-            assert all(g.has_edge(*e) and e not in cut for e in path.edges)
-    assert banned_outcomes == {(False, False), (True, False), (True, True)}
+    assert engine.cover_hole(sum(1 << v for v in seven)) is None
 
 
 def test_greedy_gives_up_past_its_slack():

@@ -82,6 +82,26 @@ def test_r_is_not_planar_but_obstruction_verifies():
     assert verify_kuratowski(r, rep.obstruction) in ("K5", "K33")
 
 
+def test_deletion_loop_tests_each_edge_once(monkeypatch):
+    # one LR test for the verdict, then at most one per edge: a kept edge
+    # is not tested again at its upper end
+    from lambdapack import planarity
+
+    calls = 0
+    test = planarity._LR.test
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return test(self)
+
+    monkeypatch.setattr(planarity._LR, "test", counted)
+    r = build_pipeline().graph("R")
+    rep = is_planar(r)
+    assert not rep.planar
+    assert calls <= r.m + 1
+
+
 def test_euler_bound_for_bipartite_planar():
     # planar verdict implies m <= 2n - 4 for bipartite graphs with n >= 3
     pipe = build_pipeline()
