@@ -5,6 +5,16 @@ Vertices are dense ids ``0..n-1``; each vertex carries a provenance label
 when graphs are composed).  Loops and parallel edges are rejected at
 construction time.
 
+Cached structure: a graph computes its ascending neighbour lists
+(``adj``), its neighbour bitmasks (``adj_masks``, the adjacency of the
+packing search), its SHA-256 edge digest and its label map on first use,
+and keeps them as long as it lives.  ``adj_masks`` is one n-bit int per
+vertex, O(n^2 / 8) bytes, built once per graph however many packing
+problems are solved on it; each problem copies it and clears its own
+deleted and forbidden edges.  None of these enters equality, hashing, or
+the JSON and DOT forms.  Default labels ``v<i>`` are interned, so graphs
+share them.
+
 Besides elementary queries (neighbors, cuts, components, degree profile)
 this module provides three of the four structural checkers used throughout
 the package: cubic, bipartite, and k-connected for k <= 3.  Planarity lives
@@ -22,6 +32,7 @@ would find first.
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,7 +98,8 @@ class Graph:
                 raise GraphError(f"parallel edge ({u},{v})")
             normed.add(e)
         if labels is None:
-            labels = tuple(f"v{i}" for i in range(n))
+            # interned, so graphs with default labels share one string each
+            labels = tuple(sys.intern(f"v{i}") for i in range(n))
         else:
             labels = tuple(labels)
         return Graph(n, frozenset(normed), labels)
@@ -104,6 +116,18 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """The neighbours of each vertex as an int bitmask, indexed by
+        vertex id: the search's adjacency.  Built once per graph, at
+        O(n^2 / 8) bytes; a packing problem copies it and clears its own
+        deleted and forbidden edges."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def digest(self) -> str:

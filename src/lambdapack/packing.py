@@ -49,6 +49,11 @@ witnesses are reproducible.  The masks of the vertices of residual
 degree 0 and 1 travel down the frames and are updated only around the
 removed vertices.  State is kept in bitmasks and the frames run on
 an explicit stack, so input size never meets Python's recursion limit.
+The adjacency masks are the graph's cached ``Graph.adj_masks``, built once
+per graph at O(n^2 / 8) bytes and kept as long as the graph; each problem
+copies them and clears its own deleted and forbidden edges and deleted
+vertices (``PackingProblem.usable_adj_masks``), so repeated queries on one
+graph pay only for their greedy or their search.
 Independent residual components are solved separately: the smaller ones
 are deepened to their least deficiency, the largest gets the rest of the
 slack, and a failure memo keyed on (component, forced edges) keeps the
@@ -68,9 +73,9 @@ witness ``solve`` returns (SAT, OPTIMUM, or the INDETERMINATE lower bound)
 is re-checked by :func:`check_packing`, and every UNSAT comes from an
 exhaustive search.  The re-check shares no logic or state with the
 search: it reads only the graph's edge set and the problem's own sets,
-not the search's adjacency masks.  It checks the whole witness first, with
-a few set operations, and only when that fails goes path by path to name
-the first fault.
+never ``Graph.adj_masks`` (nor does the oracle).  It checks the whole
+witness first, with a few set operations, and only when that fails goes
+path by path to name the first fault.
 
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
 nearly all satisfiable.  It keeps each factor it finds with the set of its
@@ -106,7 +111,7 @@ class Mode(str, Enum):
     MAX = "MAX"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LambdaPath:
     """A 3-vertex path u-v-w with center v, stored canonically (u < w)."""
 
@@ -115,7 +120,7 @@ class LambdaPath:
     w: int
 
     def __post_init__(self) -> None:
-        if len({self.u, self.v, self.w}) != 3:
+        if self.u == self.v or self.v == self.w or self.u == self.w:
             raise PackingError(f"path vertices not distinct: {self}")
         if self.u > self.w:
             raise PackingError(f"path not canonical (u > w): {self}")
@@ -154,11 +159,17 @@ class PackingProblem:
 
     def __post_init__(self) -> None:
         g = self.graph
+        # ids must be ints, as in a witness: a float equal to an int would
+        # pass the range and edge checks and then fail as a list index
         for v in self.deleted_vertices:
+            if type(v) is not int:
+                raise PackingError(f"deleted vertex {v!r} is not an int")
             if not 0 <= v < g.n:
                 raise PackingError(f"deleted vertex {v} is not a graph vertex")
         for name in ("deleted_edges", "forced_edges", "forbidden_edges"):
             for e in getattr(self, name):
+                if not (type(e[0]) is int and type(e[1]) is int):
+                    raise PackingError(f"{name} entry {e!r} has an end that is not an int")
                 if e[0] == e[1]:
                     raise PackingError(f"loop edge at vertex {e[0]}")
                 if e not in g.edges:
@@ -186,13 +197,10 @@ class PackingProblem:
         return ((1 << self.graph.n) - 1) & ~dead
 
     def usable_adj_masks(self) -> list[int]:
-        """Adjacency restricted to live endpoints and usable edges: the
-        masks of every graph edge, less the few deleted or forbidden edges
-        and the edges at deleted vertices."""
-        masks = [0] * self.graph.n
-        for u, v in self.graph.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        """Adjacency restricted to live endpoints and usable edges: a copy
+        of the graph's cached ``adj_masks``, less the few deleted or
+        forbidden edges and the edges at deleted vertices."""
+        masks = list(self.graph.adj_masks)
         for u, v in self.deleted_edges | self.forbidden_edges:
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)

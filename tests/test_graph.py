@@ -262,3 +262,16 @@ def test_norm_edge():
     assert norm_edge(3, 1) == (1, 3)
     with pytest.raises(GraphError):
         norm_edge(2, 2)
+
+
+def test_default_labels_are_shared_and_unchanged():
+    from lambdapack import from_dot, from_json, to_dot, to_json
+
+    edges = [(i, i + 1) for i in range(299)]
+    g, h = Graph.from_edges(300, edges), Graph.from_edges(300, edges)
+    assert g.labels == tuple(f"v{i}" for i in range(300))
+    assert all(a is b for a, b in zip(g.labels, h.labels))
+    assert g == h and hash(g) == hash(h)
+    assert g == Graph(300, frozenset(edges), tuple(f"v{i}" for i in range(300)))
+    assert from_json(to_json(g)) == g and from_dot(to_dot(g)) == g
+    assert to_json(g) == to_json(h) and to_dot(g) == to_dot(h)

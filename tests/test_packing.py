@@ -1,7 +1,11 @@
 """Solver behavior: enumeration, both modes, constraints, budgets, witnesses."""
 
 import ast
+import copy
+import dataclasses
+import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -23,8 +27,10 @@ from lambdapack import (
     solve,
 )
 from lambdapack.pipeline import build_pipeline, find_seams
-from lambdapack import packing
+from lambdapack import oracle_solve, packing
 from lambdapack.sampling import sample_cubic, sample_subcubic
+
+from test_oracle_equiv import _union_corpus
 
 
 def test_lambda_path_canonical():
@@ -35,6 +41,36 @@ def test_lambda_path_canonical():
         LambdaPath(4, 1, 2)  # not canonical
     with pytest.raises(PackingError):
         LambdaPath(1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ((1, 1, 2), "not distinct"),
+        ((1, 2, 1), "not distinct"),
+        ((2, 1, 1), "not distinct"),
+        ((1, 1, 1), "not distinct"),
+        ((3, 1, 2), "not canonical"),
+    ],
+)
+def test_lambda_path_rejects_each_invalid_triple(triple, message):
+    with pytest.raises(PackingError, match=message):
+        LambdaPath(*triple)
+    with pytest.raises(PackingError, match=message):
+        dataclasses.replace(LambdaPath(0, 5, 9), **dict(zip("uvw", triple)))
+
+
+def test_lambda_path_round_trips_and_has_no_dict():
+    p = LambdaPath(2, 0, 7)
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert q == p and hash(q) == hash(p) and q.vertices == (2, 0, 7)
+    assert {p, LambdaPath(2, 0, 7)} == {p}
+    assert p != LambdaPath(2, 1, 7)
+    assert repr(p) == "LambdaPath(u=2, v=0, w=7)"
+    assert dataclasses.replace(p, v=5) == LambdaPath(2, 5, 7)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.u = 1
 
 
 def test_enumerate_paths_p3():
@@ -148,6 +184,24 @@ def test_forced_and_forbidden_disjoint():
 def test_loop_edge_is_a_packing_error(field):
     with pytest.raises(PackingError, match="loop edge at vertex 3"):
         PackingProblem(atlas("Q"), Mode.MAX, **{field: frozenset({(3, 3)})})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("deleted_vertices", frozenset({1.0})),
+        ("deleted_vertices", frozenset({True})),
+        ("deleted_edges", frozenset({(0.0, 1)})),
+        ("forced_edges", frozenset({(0, 1.0)})),
+        ("forbidden_edges", frozenset({(0.0, 1.0)})),
+    ],
+)
+def test_non_int_ids_are_a_packing_error(field, value):
+    """A float equal to an id passes the range and edge checks and used to
+    crash ``solve`` with a TypeError; it is rejected when the problem is
+    built, as a witness with a float vertex is by ``check_packing``."""
+    with pytest.raises(PackingError, match="not an int"):
+        PackingProblem(atlas("Q"), Mode.MAX, **{field: value})
 
 
 # A 6-cycle, with three factors.
@@ -697,3 +751,94 @@ def test_enumerate_factors_budget_covers_every_search():
             found.append(frozenset(factor))
     # S has 45 factors; the budget runs out part-way, after some are yielded
     assert 0 < len(set(found)) < 45
+
+
+def _masks_from_adj(g: Graph) -> tuple[int, ...]:
+    return tuple(sum(1 << u for u in nbrs) for nbrs in g.adj)
+
+
+def test_adj_masks_match_the_neighbour_lists():
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [])]
+    graphs += [problem.graph for problem in _union_corpus(4151, 300)]
+    graphs += [atlas(name) for name in ("K4", "K33", "Q", "S")]
+    for g in graphs:
+        assert type(g.adj_masks) is tuple
+        assert g.adj_masks == _masks_from_adj(g), g
+    assert Graph.from_edges(0, []).adj_masks == ()
+    assert Graph.from_edges(1, []).adj_masks == (0,)
+
+
+def test_a_constrained_solve_leaves_the_graph_masks_whole():
+    g = sample_cubic(12, 3)
+    full = Graph.from_edges(g.n, g.edges).adj_masks
+    (a, b), (c, d) = sorted(e for e in g.edges if 0 not in e)[:2]
+    problem = PackingProblem(
+        g,
+        Mode.MAX,
+        deleted_vertices=frozenset({0}),
+        deleted_edges=frozenset({(a, b)}),
+        forbidden_edges=frozenset({(c, d)}),
+    )
+    masks = problem.usable_adj_masks()
+    assert masks[0] == 0 and not any(m & 1 for m in masks)
+    assert not masks[a] >> b & 1 and not masks[c] >> d & 1
+    solve(problem)
+    assert g.adj_masks == full
+    assert PackingProblem(g, Mode.MAX).usable_adj_masks() == list(full)
+    fresh = Graph.from_edges(g.n, g.edges, g.labels)
+    for mode in (Mode.MAX, Mode.FACTOR):
+        mine, theirs = solve(PackingProblem(g, mode)), solve(PackingProblem(fresh, mode))
+        assert (mine.verdict, mine.paths, mine.stats.nodes) == (
+            theirs.verdict, theirs.paths, theirs.stats.nodes
+        )
+
+
+def test_adj_masks_are_built_once_per_graph(monkeypatch):
+    """FACTOR, MAX, target= and factor enumeration on one graph share one
+    build of its masks: the same tuple object each time."""
+    builds = []
+    build = Graph.adj_masks.func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    cached = functools.cached_property(counting)
+    cached.__set_name__(Graph, "adj_masks")
+    monkeypatch.setattr(Graph, "adj_masks", cached)
+    seen = []
+    usable = PackingProblem.usable_adj_masks
+
+    def spy(self):
+        seen.append(self.graph.adj_masks)
+        return usable(self)
+
+    monkeypatch.setattr(PackingProblem, "usable_adj_masks", spy)
+    g = atlas("S")
+    solve(PackingProblem(g, Mode.FACTOR))
+    solve(PackingProblem(g, Mode.MAX))
+    solve(PackingProblem(g, Mode.MAX), target=3)
+    solve(PackingProblem(g, Mode.MAX, forbidden_edges=frozenset({(0, 1)})), target=4)
+    assert len(list(enumerate_factors(PackingProblem(g, Mode.FACTOR)))) == 45
+    enumerate_paths(g)
+    assert builds == [g]
+    assert len(seen) > 45 and all(m is seen[0] for m in seen)
+
+
+def test_the_recheck_and_the_oracle_never_read_the_masks(monkeypatch):
+    """``check_packing`` and ``oracle_solve`` stay independent of the
+    search's adjacency: they pass with ``Graph.adj_masks`` unreadable."""
+    corpus = list(_union_corpus(2719, 60))
+    answers = [solve(problem) for problem in corpus]
+
+    def unreadable(self):
+        raise AssertionError("adj_masks read outside the search")
+
+    monkeypatch.setattr(Graph, "adj_masks", property(unreadable))
+    with pytest.raises(AssertionError):
+        solve(corpus[0])
+    for problem, res in zip(corpus, answers):
+        if res.paths is not None:
+            check_packing(problem, res.paths)
+        best = oracle_solve(problem)
+        assert (best.verdict, best.value) == (res.verdict, res.value), problem
