@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from . import constructions as cons
 from .dsl import BuildRecord, run_script
 from .graph import Edge, Graph, GraphError, is_cubic, norm_edge
+from .io import load_json
 from .packing import Budget, Mode, PackingError, PackingProblem, PackingResult, solve
 from .pipeline import DEFAULT_SCRIPT
 
@@ -433,11 +434,11 @@ def _problem_payload(fact: Fact) -> dict:
 class ReplayError(ValueError):
     """Replay aborted by its ``__cause__`` (an inapplicable rule's
     ``CertificateError`` or a base search's ``FactRefuted``), or, with no
-    cause, by a base search that had to finish running out of budget."""
+    cause, by a base search that ran out of budget."""
 
 
-#: residual-size tiers for base cross-checks: (max residual vertices, must finish)
-BASE_STRICT_MAX = 27
+#: the most live vertices a fact may have for replay to ground it by a
+#: BASE search, unless ``deep``
 BASE_BUDGETED_MAX = 46
 
 
@@ -450,10 +451,11 @@ def replay_pipeline(
 
     Every bound stage whose operator and residues match a rule yields a
     rule step.  Facts whose grounding search stays within
-    ``BASE_BUDGETED_MAX`` live vertices are additionally BASE-verified
-    (facts within ``BASE_STRICT_MAX`` must finish; larger ones may record
-    INDETERMINATE evidence without failing the replay).  ``deep=True``
-    removes the size cap so even the largest facts get a direct search.
+    ``BASE_BUDGETED_MAX`` live vertices are additionally BASE-verified;
+    ``deep=True`` removes the size cap so even the largest facts get a
+    direct search.  Every grounding search must finish: one that runs out
+    of ``base_budget`` fails the replay with a ``ReplayError`` without a
+    cause, so a replayed certificate holds only UNSAT BASE steps.
     Final facts are all conclusions except the middle-edge gadget facts,
     which exist to feed the other rules.
     """
@@ -496,10 +498,7 @@ def replay_pipeline(
                 f"base search refuted {fact.kind} on "
                 f"{names.get(fact.graph_hash, fact.graph_hash[:12])}: {exc}"
             ) from exc
-        if (
-            base.evidence["verdict"] == "INDETERMINATE"
-            and size <= BASE_STRICT_MAX
-        ):
+        if base.evidence["verdict"] == "INDETERMINATE":
             raise ReplayError(
                 f"strict base check ran out of budget on {size} vertices"
             )
@@ -606,7 +605,7 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    return certificate_from_dict(json.loads(text))
+    return certificate_from_dict(load_json(text))
 
 
 # ----------------------------------------------------------------------
@@ -633,7 +632,7 @@ def check_certificate_detailed(
     """
     try:
         if isinstance(cert, (str, dict)):
-            data = json.loads(cert) if isinstance(cert, str) else cert
+            data = load_json(cert) if isinstance(cert, str) else cert
             cert = certificate_from_dict(data)
             # compared as JSON text, so 72.0 for 72 or true for 1 also shows
             written = json.dumps(certificate_to_dict(cert), sort_keys=True)

@@ -84,7 +84,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     records = dsl.run_script(Path(args.script).read_text())
     if not records:
         raise _CliError("script is empty", EXIT_PARSE)
-    if getattr(args, "name", None):
+    if args.name:
         for rec in records:
             if rec.name == args.name:
                 return rec.graph
@@ -309,12 +309,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_graph_source(p: argparse.ArgumentParser, with_name: bool = True) -> None:
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="graph file (.json or .dot)")
     p.add_argument("--expr", help="inline construction expression")
     p.add_argument("--script", help="construction script file")
-    if with_name:
-        p.add_argument("--name", help="binding to select from a script")
+    p.add_argument("--name", help="binding to select from a script")
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:

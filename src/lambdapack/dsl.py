@@ -26,7 +26,9 @@ port order (default: neighbors ascending by id).  Edge anchors are oriented:
 
 Evaluation is deterministic: the same script always produces bit-identical
 graphs (same ids, same labels).  Resolution errors report the path into the
-expression tree; syntax errors report line and column.
+expression tree; syntax errors report line and column.  Calls nest at most
+``MAX_NESTING`` deep, so neither parsing nor evaluation, which both recurse
+once per level, meets Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ Expr = AtlasRef | PrismRef | BindingRef | Call
 
 _RESERVED = {"atlas", "prism", "let", *cons.OPERATORS}
 
+#: the deepest call nesting an expression may have, far above any
+#: construction in use (the pipeline inlined into one expression nests 5 deep)
+MAX_NESTING = 100
+
 
 # ----------------------------------------------------------------------
 # Tokenizer / parser
@@ -107,10 +113,11 @@ _NAME_CHARS = set(
 
 
 class _Parser:
-    def __init__(self, text: str, line: int = 1):
+    def __init__(self, text: str, line: int):
         self.text = text
         self.pos = 0
         self.line = line
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.pos + 1)
@@ -149,9 +156,13 @@ class _Parser:
             if name in _RESERVED:
                 raise self.error(f"{name!r} needs an argument list")
             return BindingRef(name)
+        if self.depth == MAX_NESTING:
+            raise self.error(f"calls nested more than {MAX_NESTING} deep")
+        self.depth += 1
         self.expect("(")
         node = self._call(name)
         self.expect(")")
+        self.depth -= 1
         return node
 
     def _call(self, op: str) -> Expr:
@@ -333,10 +344,10 @@ def _evaluate_record(
     return BuildRecord(name, node, detail.graph, node.op, anchors, detail)
 
 
-def build(source: str | Expr, env: dict[str, Graph] | None = None) -> Graph:
+def build(source: str | Expr) -> Graph:
     """Evaluate one expression (text or AST) to a graph."""
     node = parse_expr(source) if isinstance(source, str) else source
-    return _evaluate(node, dict(env or {}), "$")
+    return _evaluate(node, {}, "$")
 
 
 def run_script(text: str) -> tuple[BuildRecord, ...]:

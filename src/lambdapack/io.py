@@ -126,10 +126,11 @@ def problem_from_dict(data: dict):
 
 
 def load_json(text: str):
-    """Parse JSON text; malformed text is a :class:`GraphError`."""
+    """Parse JSON text; malformed text, or text nested deeper than the
+    parser's recursion allows, is a :class:`GraphError`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
 
 

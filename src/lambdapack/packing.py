@@ -40,15 +40,20 @@ live vertices is the lower bound a MAX search reports when its budget
 runs out.
 
 The search is deterministic.  Paths through an unsatisfied forced edge
-come first; otherwise it branches on a vertex with at most one candidate
-path if there is one (residual degree 0, or residual degree 1 next to a
-vertex of residual degree 2; lowest id first), else on the lowest-id
-uncovered vertex.  Candidate paths go in ascending canonical order, then
-the vertex is left uncovered while slack remains, so verdicts and
-witnesses are reproducible.  The masks of the vertices of residual
-degree 0 and 1 travel down the frames and are updated only around the
-removed vertices.  State is kept in bitmasks and the frames run on
-an explicit stack, so input size never meets Python's recursion limit.
+come first; otherwise it branches on a vertex with a single candidate
+path if there is one (residual degree 1 next to a vertex of residual
+degree 2; lowest id first), else on the lowest-id uncovered vertex.
+Candidate paths go in ascending canonical order, then the vertex is left
+uncovered while slack remains, so verdicts and witnesses are
+reproducible.  The slack is made congruent to the number of free
+vertices mod 3 once, on entry, and every step keeps it so: a path
+removes 3 vertices, an uncovered vertex 1 vertex and 1 slack, and each
+component of a split gets a slack congruent to its size.  The root is a
+frame like any other, with every free vertex near the (empty) removal.
+The mask of the vertices of residual degree 1 travels down the frames and
+is updated only around the removed vertices.  State is kept in bitmasks
+and the frames run on an explicit stack, so input size never meets
+Python's recursion limit.
 The adjacency masks are the graph's cached ``Graph.adj_masks``, built once
 per graph at O(n^2 / 8) bytes and kept as long as the graph; each problem
 copies them and clears its own deleted and forbidden edges and deleted
@@ -57,10 +62,11 @@ graph pay only for their greedy or their search.
 Independent residual components are solved separately: the smaller ones
 are deepened to their least deficiency, the largest gets the rest of the
 slack, and a failure memo keyed on (component, forced edges) keeps the
-largest slack known to fail.  The main pruning rule is residue counting:
-a component of size m leaves at least m mod 3 vertices uncovered.  The
-components left by a placed path are found by walks from the path's free
-neighbours, lowest first: a walk that stops is a whole component, and one
+largest slack known to fail; the memo has no cap and lives as long as one
+``solve``.  The main pruning rule is residue counting: a component of
+size m leaves at least m mod 3 vertices uncovered.  The components of a
+frame are found by walks from the free neighbours of the removed
+vertices, lowest first: a walk that stops is a whole component, and one
 that reaches every neighbour left holds the rest.  So a small piece cut
 off by a small edge cut (as the composition operators leave behind) is
 found, and at slack 0 pruned, after a walk of its own size; the search
@@ -387,16 +393,13 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-_MEMO_CAP = 1_000_000
-
 # A search frame is a generator: it yields a child frame, receives the
-# child's witness (a list of triples) or None, and returns its own.
+# child's witness (a list of triples) or None, and returns its own.  The
+# mask ``ones`` of the free vertices of residual degree 1 travels down the
+# frames; the unit rule counts the degree of such a vertex's neighbour
+# directly, as a dense degree-2 mask per frame would double the memory of
+# a deep search (a path on 3000 vertices keeps 1,000 frames).
 _Frame = Generator
-# Masks of the free vertices with residual degree 0 and 1.  The unit rule
-# counts the degree of a degree-1 vertex's neighbour directly: a degree-2
-# mask would be dense, and one more n-bit int per frame doubles the memory
-# of a deep search (a path on 3000 vertices keeps 1,000 frames).
-_Degrees = tuple[int, int]
 
 
 class _Engine:
@@ -448,21 +451,17 @@ class _Engine:
             rem &= ~comp
         return comps
 
-    def _degrees(self, free: int, deg: _Degrees, near: int) -> _Degrees:
-        """``deg`` restricted to ``free``, with the residual degrees of the
+    def _degrees(self, free: int, ones: int, near: int) -> int:
+        """``ones`` restricted to ``free``, with the residual degrees of the
         vertices in ``near`` (a subset of ``free``) recounted."""
-        keep = free & ~near
-        d0, d1 = deg[0] & keep, deg[1] & keep
+        ones &= free & ~near
         adj = self.adj
         while near:
             b = near & -near
             near ^= b
-            d = (adj[b.bit_length() - 1] & free).bit_count()
-            if d == 0:
-                d0 |= b
-            elif d == 1:
-                d1 |= b
-        return d0, d1
+            if (adj[b.bit_length() - 1] & free).bit_count() == 1:
+                ones |= b
+        return ones
 
     # -- candidate moves -------------------------------------------------
 
@@ -493,16 +492,19 @@ class _Engine:
         """A packing of ``free`` that leaves at most ``slack`` of its vertices
         uncovered and covers every forced edge, or None when none exists.
 
+        The slack is rounded here, once, to the size of ``free`` mod 3.
         Frames run on an explicit stack, so the depth of the search is not
         bounded by Python's recursion limit.
         """
         self._check_budget()
-        for u, v in forced:
-            if not ((free >> u) & 1 and (free >> v) & 1):
-                self.stats.prunes["forced_dead"] += 1
-                return None
-        deg = self._degrees(free, (0, 0), free)
-        stack = [self._split(free, slack, forced, deg, self._components(free))]
+        slack -= (slack - free.bit_count()) % 3
+        if slack < 0:
+            self.stats.prunes["residue"] += 1
+            return None
+        root = self._frame(free, slack, forced, free, 0)
+        if root is None:
+            return None
+        stack = [root]
         result: list[Triple] | None = None
         while True:
             try:
@@ -521,11 +523,11 @@ class _Engine:
         free: int,
         slack: int,
         forced: tuple[Edge, ...],
-        deg: _Degrees,
+        ones: int,
         comps: list[int],
     ) -> _Frame:
-        """Any free set: solve its components ``comps`` (ordered by lowest
-        vertex) one by one, sharing the slack.
+        """A free set of 0 or 2+ components ``comps`` (ordered by lowest
+        vertex): solve them one by one, sharing the slack.
 
         Each component leaves at least its size mod 3 uncovered.  The smaller
         components are deepened from that residue in steps of 3 until one
@@ -538,8 +540,6 @@ class _Engine:
         if need > slack:
             self.stats.prunes["residue"] += 1
             return None
-        if len(comps) == 1:
-            return (yield self._comp(free, slack, forced, deg))
         largest = max(comps, key=int.bit_count)
         comps.remove(largest)
         comps.append(largest)
@@ -549,7 +549,6 @@ class _Engine:
             size = comp.bit_count()
             need -= size % 3
             room = slack - need
-            room -= (room - size) % 3
             key = (comp, tuple(e for e in forced if (comp >> e[0]) & 1))
             if size < 3 and not key[1]:
                 slack -= size  # no path fits: all of it stays uncovered
@@ -562,52 +561,41 @@ class _Engine:
             while True:
                 if s > room:
                     return None
-                sub = yield self._comp(
-                    comp, s, key[1], (deg[0] & comp, deg[1] & comp)
-                )
+                sub = yield self._comp(comp, s, key[1], ones & comp)
                 if sub is not None:
                     break
-                if key in memo or len(memo) < _MEMO_CAP:
-                    memo[key] = s
+                memo[key] = s
                 s += 3
             slack -= size - 3 * len(sub)
             out += sub
         return out
 
-    def _branch_vertex(self, comp: int, deg: _Degrees) -> int:
-        """The lowest-id vertex with no candidate path (residual degree 0),
-        else the lowest-id one with a single candidate (residual degree 1,
-        its neighbour of residual degree 2), else the lowest-id vertex."""
+    def _branch_vertex(self, comp: int, ones: int) -> int:
+        """The lowest-id vertex with a single candidate path (residual
+        degree 1, its neighbour of residual degree 2), else the lowest-id
+        vertex.  ``ones`` holds the vertices of ``comp`` of residual
+        degree 1; a connected set of two or more vertices has none of
+        residual degree 0."""
         adj = self.adj
-        pick = deg[0]
-        if not pick:
-            ends = deg[1]
-            while ends:
-                b = ends & -ends
-                c = adj[b.bit_length() - 1] & comp
-                if (adj[c.bit_length() - 1] & comp).bit_count() == 2:
-                    pick = b
-                    break
-                ends ^= b
-        pick = pick or comp
-        return (pick & -pick).bit_length() - 1
+        while ones:
+            b = ones & -ones
+            c = adj[b.bit_length() - 1] & comp
+            if (adj[c.bit_length() - 1] & comp).bit_count() == 2:
+                return b.bit_length() - 1
+            ones ^= b
+        return (comp & -comp).bit_length() - 1
 
     def _comp(
-        self, comp: int, slack: int, forced: tuple[Edge, ...], deg: _Degrees
+        self, comp: int, slack: int, forced: tuple[Edge, ...], ones: int
     ) -> _Frame:
         """One connected free set: cover its first forced edge, else the
         vertex ``_branch_vertex`` picks by each candidate path in order, or
         leave that vertex uncovered while slack remains."""
         self._tick()
-        size = comp.bit_count()
-        slack -= (slack - size) % 3
-        if slack < 0:
-            self.stats.prunes["residue"] += 1
-            return None
         if forced:
             moves = sorted(self._paths_through_edge(*forced[0], comp))
         else:
-            v = self._branch_vertex(comp, deg)
+            v = self._branch_vertex(comp, ones)
             moves = sorted(self._paths_covering(v, comp))
         if not moves and (forced or not slack):
             self.stats.prunes["stranded"] += 1
@@ -620,13 +608,8 @@ class _Engine:
             if forced:
                 covered = (norm_edge(a, b), norm_edge(b, c))
                 rest_forced = tuple(e for e in forced if e not in covered)
-                if any(
-                    not ((rest >> u) & 1 and (rest >> w) & 1) for u, w in rest_forced
-                ):
-                    self.stats.prunes["forced_dead"] += 1
-                    continue
             child = self._frame(
-                rest, slack, rest_forced, adj[a] | adj[b] | adj[c], deg
+                rest, slack, rest_forced, adj[a] | adj[b] | adj[c], ones
             )
             if child is None:
                 continue
@@ -637,7 +620,7 @@ class _Engine:
         if forced or not slack:
             return None
         rest = comp & ~(1 << v)
-        child = self._frame(rest, slack - 1, (), adj[v], deg)
+        child = self._frame(rest, slack - 1, (), adj[v], ones)
         return None if child is None else (yield child)
 
     def _frame(
@@ -646,20 +629,25 @@ class _Engine:
         slack: int,
         forced: tuple[Edge, ...],
         near: int,
-        deg: _Degrees,
+        ones: int,
     ) -> _Frame | None:
-        """The frame for what is left of a connected set after a removal,
-        or None when, at slack 0, a piece of it has a residue.
+        """The frame for what is left of a connected set after a removal (at
+        the root, the free set), or None when a forced edge has lost an end
+        or, at slack 0, a piece of it has a residue.
 
-        ``near`` is the neighbourhood of the removed vertices: only their
-        free neighbours change residual degree, and every piece of ``rest``
-        holds one of them.  So the pieces are found by a walk from the
-        lowest of those neighbours not yet placed: a walk that stops is a
-        whole piece, and the next walk starts from the next one; a walk
-        that reaches every one left holds the rest.  When the first walk
-        reaches them all, ``rest`` is connected and the component split is
-        skipped.
+        ``near`` is the neighbourhood of the removed vertices (at the root,
+        every free vertex): only their free neighbours change residual
+        degree, and every piece of ``rest`` holds one of them.  So the
+        pieces are found by a walk from the lowest of those neighbours not
+        yet placed: a walk that stops is a whole piece, and the next walk
+        starts from the next one; a walk that reaches every one left holds
+        the rest.  When the first walk reaches them all, ``rest`` is
+        connected and the component split is skipped.
         """
+        for u, v in forced:
+            if not ((rest >> u) & 1 and (rest >> v) & 1):
+                self.stats.prunes["forced_dead"] += 1
+                return None
         near &= rest
         adj = self.adj
         pieces: list[int] = []
@@ -682,16 +670,16 @@ class _Engine:
                 self.stats.prunes["residue"] += 1
                 return None
             pieces.append(group)
-        deg = self._degrees(rest, deg, near)
+        ones = self._degrees(rest, ones, near)
         last = rest
         for piece in pieces:
             last ^= piece
         if last:
             pieces.append(last)
         if len(pieces) == 1:
-            return self._comp(rest, slack, forced, deg)
+            return self._comp(rest, slack, forced, ones)
         pieces.sort(key=lambda c: c & -c)
-        return self._split(rest, slack, forced, deg, pieces)
+        return self._split(rest, slack, forced, ones, pieces)
 
     # -- witnesses built without a search: the two greedies (the witness
     # phases, and the lower bound when a budget runs out) and the battery's

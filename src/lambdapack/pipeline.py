@@ -80,10 +80,6 @@ class PipelineGraphs:
 
     records: dict[str, BuildRecord]
 
-    @property
-    def graphs(self) -> dict[str, Graph]:
-        return {name: rec.graph for name, rec in self.records.items()}
-
     def graph(self, name: str) -> Graph:
         return self.records[name].graph
 

@@ -12,6 +12,7 @@ from lambdapack.certify import (
     KIND_MINUS_VERTEX,
     KIND_MINUS_VERTEX_AVOIDING,
     KIND_NO_FACTOR,
+    Certificate,
     CertificateError,
     FactRefuted,
     ReplayError,
@@ -26,6 +27,8 @@ from lambdapack.certify import (
     replay_pipeline,
     verify_base,
 )
+from lambdapack.graph import GraphError
+from lambdapack.packing import Budget
 from lambdapack.pipeline import DEFAULT_SCRIPT, family, family_script
 
 
@@ -474,3 +477,81 @@ def test_pipeline_accessors_name_the_certified_facts(member):
     assert facts["F"].edge == pipe.marked_edge_of_f()
     for name in facts:
         assert facts[name].graph_hash == graph_hash(pipe.graph(name))
+
+
+def test_replay_fails_when_any_grounding_search_runs_out():
+    # the BASE searches of the default pipeline take 1, 138, 6, 49, 54 and
+    # 97 nodes; without ``deep`` only those of at most 46 live vertices run
+    budget = Budget(max_nodes=50)
+    cert = replay_pipeline(base_budget=budget)
+    assert {s.evidence["verdict"] for s in cert.steps if s.rule == "BASE"} == {"UNSAT"}
+    with pytest.raises(ReplayError, match="ran out of budget on 54 vertices") as exc:
+        replay_pipeline(base_budget=budget, deep=True)
+    assert exc.value.__cause__ is None
+    with pytest.raises(ReplayError, match="ran out of budget on 45 vertices") as exc:
+        replay_pipeline(base_budget=Budget(max_nodes=10))
+    assert exc.value.__cause__ is None
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deeply_nested_certificate_text_is_malformed(depth):
+    text = "[" * depth + "]" * depth
+    with pytest.raises(GraphError, match="invalid JSON"):
+        certificate_from_json(text)
+    problems = check_certificate_detailed(text)
+    assert len(problems) == 1
+    assert problems[0].startswith("malformed certificate: invalid JSON")
+    assert not check_certificate(text)
+
+
+def _step(data: dict, rule: str) -> dict:
+    return next(s for s in data["steps"] if s["rule"] == rule)
+
+
+def _drop_an_edge(data: dict) -> str:
+    h = sorted(data["graphs"])[0]
+    data["graphs"][h]["edges"].pop()
+    return f"graph table entry {h[:12]} does not match its hash"
+
+
+def _unknown_rule(data: dict) -> str:
+    step = _step(data, "R6")
+    step["rule"] = "R7"
+    return f"step {step['id']}: unknown rule 'R7'"
+
+
+def _sat_base_verdict(data: dict) -> str:
+    step = _step(data, "BASE")
+    step["evidence"]["verdict"] = "SAT"
+    return f"step {step['id']}: BASE evidence verdict 'SAT' is not probative"
+
+
+def _lost_side_condition(data: dict) -> str:
+    step = _step(data, "R6")
+    del step["sideConditions"]["a"]
+    return f"step {step['id']}: malformed step (KeyError('a'))"
+
+
+CHECKER_REJECTIONS = {
+    "graph entry off its hash": _drop_an_edge,
+    "unknown rule": _unknown_rule,
+    "SAT base verdict": _sat_base_verdict,
+    "rule step without a side condition": _lost_side_condition,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKER_REJECTIONS))
+def test_checker_names_each_rejection(default_cert, case):
+    data = json.loads(certificate_to_json(default_cert))
+    expected = CHECKER_REJECTIONS[case](data)
+    problems = check_certificate_detailed(data)
+    assert expected in problems
+    assert not check_certificate(json.dumps(data))
+
+
+def test_checker_rejects_a_step_whose_graph_is_missing(default_cert):
+    base = next(s for s in default_cert.steps if s.rule == "BASE")
+    cert = Certificate({}, {}, (base,), ())
+    assert check_certificate_detailed(cert) == [
+        f"step {base.step_id}: conclusion graph missing from table"
+    ]

@@ -364,6 +364,18 @@ INAPPLICABLE_RULE_SCRIPT = "\n".join(
 )
 
 
+#: JSON nested deeper than the parser's recursion allows
+DEEP_JSON = "[" * 10_000 + "]" * 10_000
+
+
+def _deep_expr(depth: int = 250) -> str:
+    """vsub nested ``depth`` calls deep through its first operand."""
+    expr, label = "K4", "v1"
+    for _ in range(depth):
+        expr, label = f"vsub({expr}@{label}, K4@v0)", "B.v1"
+    return expr
+
+
 @pytest.mark.parametrize(
     "argv, file_text, code, message",
     [
@@ -386,8 +398,37 @@ INAPPLICABLE_RULE_SCRIPT = "\n".join(
             EXIT_BUDGET,
             "strict base check ran out of budget",
         ),
+        (
+            ("certify", "--budget-nodes", "10"),
+            None,
+            EXIT_BUDGET,
+            "ran out of budget on 45 vertices",
+        ),
+        (("build", "--input", "{file}"), DEEP_JSON, EXIT_PARSE, "invalid JSON"),
+        (("check", "--input", "{file}"), DEEP_JSON, EXIT_PARSE, "invalid JSON"),
+        (
+            ("export", "--input", "{file}", "--to", "dot"),
+            DEEP_JSON,
+            EXIT_PARSE,
+            "invalid JSON",
+        ),
+        (("solve", "--problem", "{file}"), DEEP_JSON, EXIT_PARSE, "invalid JSON"),
+        (("build", "--expr", _deep_expr()), None, EXIT_PARSE, "nested more than"),
+        (("check", "--script", "{file}"), _deep_expr(), EXIT_PARSE, "nested more than"),
     ],
-    ids=["malformed-json", "unknown-label", "inapplicable-rule", "certify-budget"],
+    ids=[
+        "malformed-json",
+        "unknown-label",
+        "inapplicable-rule",
+        "certify-budget",
+        "certify-budget-45-vertices",
+        "build-deep-json",
+        "check-deep-json",
+        "export-deep-json",
+        "solve-deep-problem",
+        "build-deep-expr",
+        "check-deep-script",
+    ],
 )
 def test_exit_code_matrix(tmp_path, capsys, argv, file_text, code, message):
     """One invocation per error class not covered by another test here."""
@@ -397,6 +438,15 @@ def test_exit_code_matrix(tmp_path, capsys, argv, file_text, code, message):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_deeply_nested_certificate_is_malformed(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "check-cert", str(path))
+    assert (code, out) == (EXIT_REFUTED, "")
+    assert err.startswith("malformed certificate: invalid JSON")
+    assert err.count("\n") == 1
 
 
 def test_missing_script_is_parse_error(capsys):

@@ -5,6 +5,7 @@ import pytest
 from lambdapack import ParseError, atlas, build, parse_expr, run_script
 from lambdapack.constructions import OPERATORS, PortedVertex
 from lambdapack.dsl import (
+    MAX_NESTING,
     AtlasRef,
     BindingRef,
     Call,
@@ -138,3 +139,31 @@ def test_call_shape():
     assert isinstance(node.args[0].expr, AtlasRef)
     inner = parse_expr("vsub(K@z1[z2,u,w], S@s[p1,p2,p3])")
     assert isinstance(inner.args[0].expr, BindingRef)
+
+
+def _nested(depth: int) -> str:
+    """vsub nested ``depth`` calls deep through its first operand."""
+    expr, label = "K4", "v1"
+    for _ in range(depth):
+        expr, label = f"vsub({expr}@{label}, K4@v0)", "B.v1"
+    return expr
+
+
+def test_nesting_up_to_the_limit_builds():
+    # each vsub adds the 2 vertices K4 keeps beyond the removed pair
+    assert build(_nested(MAX_NESTING)).n == 4 + 2 * MAX_NESTING
+    assert run_script(f"let X = {_nested(MAX_NESTING)}\n")[0].graph.n == 4 + 2 * MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 250, 5000])
+def test_over_deep_nesting_is_a_parse_error_with_position(depth):
+    # the error points at the opening parenthesis of the first call too deep
+    col = len("vsub(") * (MAX_NESTING + 1)
+    text = _nested(depth)
+    for parse in (parse_expr, build):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+    with pytest.raises(ParseError) as exc:
+        run_script(f"let A = K4\nlet B = {text}\n")
+    assert (exc.value.line, exc.value.col) == (2, len("let B = ") + col)

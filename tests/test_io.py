@@ -187,3 +187,14 @@ def test_problem_json_errors():
     out_of_range = '{"graph": {"n": 3, "edges": [[0,1],[1,2]]}, "deletedVertices": [3]}'
     with pytest.raises(PackingError):
         problem_from_json(out_of_range)
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deeply_nested_json_is_a_graph_error(depth):
+    text = "[" * depth + "]" * depth
+    for read in (from_json, problem_from_json):
+        with pytest.raises(GraphError, match="invalid JSON"):
+            read(text)
+    nested = '{"graph": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(GraphError, match="invalid JSON"):
+        problem_from_json(nested)

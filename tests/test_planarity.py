@@ -247,3 +247,53 @@ def test_kernel_matches_networkx(kind):
         else:
             assert rep.obstruction == frozenset(norm_edge(u, v) for u, v in cert.edges())
             verify_kuratowski(g, rep.obstruction)
+
+
+def _k33_edges() -> list[tuple[int, int]]:
+    return sorted(atlas("K33").edges)
+
+
+#: edge sets that are no Kuratowski subdivision: (vertex count, edges,
+#: the error verify_kuratowski must raise)
+NOT_KURATOWSKI = {
+    "vertex of degree 1": (7, _k33_edges() + [(0, 6)], "unexpected degree"),
+    "vertex of degree 5": (
+        6, [(u, v) for u in range(6) for v in range(u + 1, 6)], "unexpected degree"
+    ),
+    "chain back to its branch vertex": (
+        6,
+        [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (3, 5)],
+        "loops back to its origin",
+    ),
+    "edges off the chains": (
+        9, _k33_edges() + [(6, 7), (7, 8), (6, 8)], "outside branch chains"
+    ),
+    "parallel chains": (
+        5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)], "parallel chains"
+    ),
+    "triangular prism": (
+        6,
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+        "not bipartite",
+    ),
+    "K4 subdivision": (
+        5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 3), (2, 3)], "neither K5 nor K3,3"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_KURATOWSKI))
+def test_verify_kuratowski_rejects(case):
+    n, edges, message = NOT_KURATOWSKI[case]
+    g = Graph.from_edges(n, edges)
+    with pytest.raises(GraphError, match=message):
+        verify_kuratowski(g, g.edges)
+
+
+def test_verify_kuratowski_rejects_an_edge_outside_the_graph():
+    g = atlas("K33")
+    missing = next(
+        (u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in g.edges
+    )
+    with pytest.raises(GraphError, match="not in graph"):
+        verify_kuratowski(g, g.edges | {missing})
