@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from . import constructions as cons
 from .dsl import BuildRecord, run_script
 from .graph import Edge, Graph, GraphError, is_cubic, norm_edge
-from .io import load_json
+from .io import load_json, pretty_json
 from .packing import Budget, Mode, PackingError, PackingProblem, PackingResult, solve
 from .pipeline import DEFAULT_SCRIPT
 
@@ -563,7 +563,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), sort_keys=True, indent=2) + "\n"
+    return pretty_json(certificate_to_dict(cert)) + "\n"
 
 
 def _fact_from_payload(data: dict) -> Fact:

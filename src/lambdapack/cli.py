@@ -17,12 +17,17 @@ test that an exhaustive search refuted).  A
 
 Budgets default to those of ``Budget()`` (1e8 nodes / 600 s) and can be
 overridden per invocation (``--budget-nodes``, ``--budget-seconds``).
+
+``main`` builds its argument parser once per process, on its first call,
+and parses every later call with it; ``make_parser`` returns a new parser
+each time.  Every JSON document the CLI writes comes from
+:func:`lambdapack.io.pretty_json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from pathlib import Path
 
@@ -130,7 +135,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         g = atlas(name)
         rows.append({"name": name, "vertices": g.n, "edges": g.m})
     if args.format == "json":
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        text = gio.pretty_json(rows) + "\n"
     else:
         text = "".join(
             f"{row['name']:4s} vertices={row['vertices']:3d} edges={row['edges']:3d}\n"
@@ -150,7 +155,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = _property_report(g)
     if args.format == "json":
-        _emit(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _emit(args, gio.pretty_json(report) + "\n")
     else:
         lines = [
             f"vertices: {report['vertices']}  edges: {report['edges']}",
@@ -232,7 +237,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget_name = {"nodes": "node", "seconds": "time"}.get(result.stats.exhausted)
     note = f" ({budget_name} budget exhausted)" if budget_name else ""
     print(f"explored {result.stats.nodes} nodes{note}", file=sys.stderr)
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, gio.pretty_json(payload) + "\n")
     return EXIT_BUDGET if result.verdict == "INDETERMINATE" else EXIT_OK
 
 
@@ -298,7 +303,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{undecided} of {args.count} bound searches ran out of budget",
             file=sys.stderr,
         )
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, gio.pretty_json(payload) + "\n")
     if violations:
         return EXIT_REFUTED
     return EXIT_BUDGET if undecided else EXIT_OK
@@ -415,8 +420,14 @@ def _exit_code(exc: Exception) -> int | None:
     return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), None)
 
 
+#: the parser ``main`` uses, built by its first call: argparse keeps no
+#: state between ``parse_args`` calls (it copies a list default before
+#: appending to it), so one parser serves every call in the process
+_parser = functools.cache(make_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

@@ -28,7 +28,10 @@ Evaluation is deterministic: the same script always produces bit-identical
 graphs (same ids, same labels).  Resolution errors report the path into the
 expression tree; syntax errors report line and column.  Calls nest at most
 ``MAX_NESTING`` deep, so neither parsing nor evaluation, which both recurse
-once per level, meets Python's recursion limit.
+once per level, meets Python's recursion limit.  The parser and the
+evaluator count depth alike (``atlas(...)`` and ``prism(...)`` are calls
+too), so a hand-built AST nested deeper than the limit is a
+``ResolveError``.
 """
 
 from __future__ import annotations
@@ -274,9 +277,9 @@ class BuildRecord:
 
 
 def _resolve_anchor(
-    anchor: VertexAnchor | EdgeAnchor, env: dict[str, Graph], path: str
+    anchor: VertexAnchor | EdgeAnchor, env: dict[str, Graph], path: str, depth: int
 ) -> cons.PortedVertex | cons.PortedEdge:
-    g = _evaluate(anchor.expr, env, path + "/expr")
+    g = _evaluate_record(anchor.expr, env, path + "/expr", None, depth).graph
     try:
         if isinstance(anchor, VertexAnchor):
             v = g.vertex_by_label(anchor.label)
@@ -299,13 +302,12 @@ def _resolve_anchor(
         raise ResolveError(str(exc), path) from exc
 
 
-def _evaluate(node: Expr, env: dict[str, Graph], path: str) -> Graph:
-    return _evaluate_record(node, env, path, None).graph
-
-
 def _evaluate_record(
-    node: Expr, env: dict[str, Graph], path: str, name: str | None
+    node: Expr, env: dict[str, Graph], path: str, name: str | None, depth: int = 0
 ) -> BuildRecord:
+    """Evaluate ``node``, which sits inside ``depth`` calls."""
+    if depth >= MAX_NESTING and not isinstance(node, BindingRef):
+        raise ResolveError(f"calls nested more than {MAX_NESTING} deep", path)
     if isinstance(node, AtlasRef):
         try:
             return BuildRecord(name, node, cons.atlas(node.name), None, (), None)
@@ -332,7 +334,7 @@ def _evaluate_record(
             f"{node.op} takes {spec.arity} anchors, got {len(node.args)}", path
         )
     anchors = tuple(
-        _resolve_anchor(a, env, f"{path}/{node.op}[{i}]")
+        _resolve_anchor(a, env, f"{path}/{node.op}[{i}]", depth + 1)
         for i, a in enumerate(node.args)
     )
     if not all(isinstance(a, spec.anchor) for a in anchors):
@@ -347,7 +349,7 @@ def _evaluate_record(
 def build(source: str | Expr) -> Graph:
     """Evaluate one expression (text or AST) to a graph."""
     node = parse_expr(source) if isinstance(source, str) else source
-    return _evaluate(node, {}, "$")
+    return _evaluate_record(node, {}, "$", None).graph
 
 
 def run_script(text: str) -> tuple[BuildRecord, ...]:

@@ -11,9 +11,9 @@ packing search), its SHA-256 edge digest and its label map on first use,
 and keeps them as long as it lives.  ``adj_masks`` is one n-bit int per
 vertex, O(n^2 / 8) bytes, built once per graph however many packing
 problems are solved on it; each problem copies it and clears its own
-deleted and forbidden edges.  None of these enters equality, hashing, or
-the JSON and DOT forms.  Default labels ``v<i>`` are interned, so graphs
-share them.
+deleted and forbidden edges.  None of these enters equality, hashing,
+pickling and copying (a copy rebuilds them on use), or the JSON and DOT
+forms.  Default labels ``v<i>`` are interned, so graphs share them.
 
 Besides elementary queries (neighbors, cuts, components, degree profile)
 this module provides three of the four structural checkers used throughout
@@ -103,6 +103,12 @@ class Graph:
         else:
             labels = tuple(labels)
         return Graph(n, frozenset(normed), labels)
+
+    def __getstate__(self) -> dict:
+        """The fields alone, without the cached structure (``adj_masks``
+        alone is O(n^2 / 8) bytes); a copy or an unpickled graph rebuilds
+        its caches on first use."""
+        return {"n": self.n, "edges": self.edges, "labels": self.labels}
 
     # ------------------------------------------------------------------
     # Cached structure

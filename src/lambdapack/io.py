@@ -29,12 +29,21 @@ DOT export also rejects a label holding a character that ``str.splitlines``
 breaks on (``\\n``, ``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``,
 ``\\u2028``, ``\\u2029``).  ``from_dot`` parses exactly the subset emitted
 by ``to_dot``; both formats round-trip bit-identically.
+
+Every pretty JSON document the package writes (graphs, problems,
+certificates and the CLI's reports) comes from one writer,
+:func:`pretty_json`.  Its output equals ``json.dumps(obj, sort_keys=True,
+indent=2)`` byte for byte, but it writes dicts with str keys, lists,
+tuples, strings, ints, bools and None itself: CPython before 3.13 runs
+json's pure-Python encoder whenever ``indent`` is set, and that encoder
+took most of the time of writing a certificate.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote_json
 
 from .graph import Graph, GraphError
 
@@ -47,8 +56,63 @@ def to_json_dict(g: Graph) -> dict:
     }
 
 
+_INTS = frozenset((int,))
+_STRS = frozenset((str,))
+
+
+def _pretty(obj, pad: str) -> str:
+    """``obj`` written at the indent ``pad`` (a newline and the spaces of
+    the enclosing level); a TypeError for any value :func:`pretty_json`
+    leaves to ``json.dumps``."""
+    t = type(obj)
+    if t is str:
+        return _quote_json(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        # _quote_json raises the TypeError for a key that is not a str
+        items = [_quote_json(k) + ": " + _pretty(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        # a container of ints or of strings, such as an edge or a label
+        # list, is written in one join
+        types = set(map(type, obj))
+        if types == _INTS:
+            items = map(int.__repr__, obj)
+        elif types == _STRS:
+            items = map(_quote_json, obj)
+        else:
+            items = [_pretty(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"{t.__name__} is left to json.dumps")
+
+
+def pretty_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    Dicts with str keys, lists, tuples, strings, ints, bools and None are
+    written directly; an object holding anything else (a float, a key that
+    is not a str, a subclass) is handed whole to ``json.dumps``, which
+    also raises its errors."""
+    try:
+        return _pretty(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+
 def to_json(g: Graph) -> str:
-    return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+    return pretty_json(to_json_dict(g)) + "\n"
 
 
 def _int(x: object) -> int:
@@ -92,7 +156,7 @@ def problem_to_dict(problem) -> dict:
 
 
 def problem_to_json(problem) -> str:
-    return json.dumps(problem_to_dict(problem), sort_keys=True, indent=2) + "\n"
+    return pretty_json(problem_to_dict(problem)) + "\n"
 
 
 def problem_parts(data: dict) -> tuple[Graph, dict]:

@@ -641,3 +641,22 @@ def test_package_runs_as_a_module():
     proc = run_module("lambdapack")
     assert (proc.returncode, proc.stdout) == (0, run_module("lambdapack.cli").stdout)
     assert "K4" in proc.stdout
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    plain = ("solve", "--expr", "ebridge(Q@e1, Q@e1)", "--max")
+    forced = (*plain, "--force-edge", "z1-z2")
+    cli._parser.cache_clear()
+    first = run_cli(capsys, *plain)  # the first call on a new parser
+    assert json.loads(first[1])["value"] == 6
+    cli._parser.cache_clear()
+    # a forced edge appended in one call is not in the next call's default
+    assert json.loads(run_cli(capsys, *forced)[1])["value"] == 5
+    assert run_cli(capsys, *plain) == first
+    # nor does an argparse error (exit 2) leave anything behind
+    with pytest.raises(SystemExit) as exc:
+        main([*forced, "--no-such-flag"])
+    assert exc.value.code == EXIT_PARSE
+    capsys.readouterr()
+    assert run_cli(capsys, *plain) == first
+    assert cli._parser() is cli._parser() and cli.make_parser() is not cli.make_parser()

@@ -167,3 +167,22 @@ def test_over_deep_nesting_is_a_parse_error_with_position(depth):
     with pytest.raises(ParseError) as exc:
         run_script(f"let A = K4\nlet B = {text}\n")
     assert (exc.value.line, exc.value.col) == (2, len("let B = ") + col)
+
+
+def _nested_ast(depth: int) -> Call:
+    """The AST of ``_nested(depth)``, built by hand."""
+    expr, label = BindingRef("K4"), "v1"
+    for _ in range(depth):
+        anchors = (VertexAnchor(expr, label, None), VertexAnchor(BindingRef("K4"), "v0", None))
+        expr, label = Call("vsub", anchors), "B.v1"
+    return expr
+
+
+def test_hand_built_nesting_is_bounded_like_the_parser():
+    assert _nested_ast(MAX_NESTING) == parse_expr(_nested(MAX_NESTING))
+    assert build(_nested_ast(MAX_NESTING)).n == 4 + 2 * MAX_NESTING
+    for depth in (MAX_NESTING + 1, 400):
+        with pytest.raises(ResolveError) as err:
+            build(_nested_ast(depth))
+        # raised at the first call too deep, below MAX_NESTING calls
+        assert err.value.path == "$" + "/vsub[0]/expr" * MAX_NESTING

@@ -1,6 +1,7 @@
 """Core graph type, elementary queries, and the structural checkers."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from lambdapack import (
     Graph,
     GraphError,
+    Mode,
+    PackingProblem,
     atlas,
     components,
     connectivity_at_least,
@@ -18,6 +21,7 @@ from lambdapack import (
     prism,
     run_script,
     sample_cubic,
+    solve,
 )
 from lambdapack.constructions import PortedVertex, ymerge
 from lambdapack.pipeline import DEFAULT_SCRIPT, family_script
@@ -275,3 +279,18 @@ def test_default_labels_are_shared_and_unchanged():
     assert g == Graph(300, frozenset(edges), tuple(f"v{i}" for i in range(300)))
     assert from_json(to_json(g)) == g and from_dot(to_dot(g)) == g
     assert to_json(g) == to_json(h) and to_dot(g) == to_dot(h)
+
+
+def test_a_solved_graph_pickles_without_its_caches():
+    edges = [(i, i + 1) for i in range(599)]
+    g = Graph.from_edges(600, edges)
+    fresh = pickle.dumps(g)
+    assert solve(PackingProblem(g, Mode.FACTOR)).verdict == "SAT"
+    g.adj, g.digest, g.label_to_id  # build the caches the solve did not
+    assert {"adj", "adj_masks", "digest", "label_to_id"} <= set(vars(g))
+    assert len(pickle.dumps(g)) == len(fresh)
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and hash(h) == hash(g)
+    assert set(vars(h)) == {"n", "edges", "labels"}
+    assert h.adj == g.adj and h.adj_masks == g.adj_masks and h.digest == g.digest
+    assert h.label_to_id == g.label_to_id

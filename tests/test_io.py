@@ -1,9 +1,13 @@
 """JSON and DOT serialization round-trips."""
 
+import json
+import math
+
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from lambdapack import Graph, GraphError, atlas, from_dot, from_json, to_dot, to_json
-from lambdapack.io import problem_from_json
+from lambdapack.io import pretty_json, problem_from_json
 from lambdapack.pipeline import build_pipeline
 
 
@@ -198,3 +202,43 @@ def test_deeply_nested_json_is_a_graph_error(depth):
     nested = '{"graph": ' + "[" * depth + "]" * depth + "}"
     with pytest.raises(GraphError, match="invalid JSON"):
         problem_from_json(nested)
+
+
+#: strings of quotes, backslashes, every control character, a lone surrogate
+#: and non-ASCII text
+JSON_CHARS = '"\\/ Az\x7f\xe9\u20ac\u2028\ud800\U0001f600' + "".join(map(chr, range(32)))
+JSON_TEXT = st.text(st.sampled_from(JSON_CHARS))
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])  # json.dumps writes these
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.dictionaries(JSON_TEXT, kids)
+    | st.dictionaries(st.integers(), kids),  # keys json.dumps converts
+    max_leaves=20,
+)
+
+
+@seed(26)
+@settings(max_examples=120, deadline=None)
+@given(JSON_VALUES)
+@example([1, True, -2, False])  # bools are ints, but not written as ints
+@example(("a", None, "b"))
+def test_pretty_json_equals_the_stdlib_indent_output(value):
+    assert pretty_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_pretty_json_leaves_errors_to_json_dumps():
+    for bad in ({1: 0, "a": 0}, [object()], {"k": {1, 2}}):
+        with pytest.raises(TypeError) as ours:
+            pretty_json(bad)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(bad, sort_keys=True, indent=2)
+        assert str(ours.value) == str(theirs.value)
