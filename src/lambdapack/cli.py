@@ -8,12 +8,14 @@ time) never appear in it, only deterministic ones (node counts).
 
 Exit codes, each decided by ``main`` from the error class: 0 success;
 2 parse/input error (``OSError``, ``UnicodeError``, ``ParseError``,
-``GraphError``); 3 precondition violation (``ConstructionError``,
-``PackingError``, ``CertificateError``); 4 budget exhausted (an
-INDETERMINATE search, or a ``ReplayError`` without a cause); 5 a claimed
-fact was refuted (``FactRefuted``, a failed certificate check, or a bound
-test that an exhaustive search refuted).  A
-``ReplayError`` with a cause gets the code of its cause.
+``GraphError``, and ``MemoryError`` from an input too large for the
+memory at hand, reported as the one line ``error: out of memory``);
+3 precondition violation (``ConstructionError``, ``PackingError``,
+``CertificateError``); 4 budget exhausted (an INDETERMINATE search, or a
+``ReplayError`` without a cause); 5 a claimed fact was refuted
+(``FactRefuted``, a failed certificate check, or a bound test that an
+exhaustive search refuted).  A ``ReplayError`` with a cause gets the code
+of its cause.
 
 Budgets default to those of ``Budget()`` (1e8 nodes / 600 s) and can be
 overridden per invocation (``--budget-nodes``, ``--budget-seconds``).
@@ -430,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:

@@ -86,15 +86,18 @@ path by path to name the first fault.
 :func:`residue_factor_clauses` asks hundreds of FACTOR queries per graph,
 nearly all satisfiable.  It keeps each factor it finds with the set of its
 edges, and answers each query from one of them by set operations on the
-query's own edge sets: as it is when one fits, or else repaired: a found
-factor less its paths that meet the query's deleted vertices, use a
-deleted or forbidden edge or touch a forced edge it misses, with the hole
-left covered once by one or two paths, kept only when those avoid the
-deleted and forbidden edges.  It searches only the rest.
+query's own edge sets: as it is when one found for the same deleted
+vertices (looked up by that set) fits, or else repaired: a found factor
+less its paths that meet the query's deleted vertices, use a deleted or
+forbidden edge or touch a forced edge it misses, with the hole left
+covered by one or two paths (one cover per hole, worked out once per
+graph), kept only when those avoid the deleted and forbidden edges.  It
+searches only the rest, and formats only the deciding query's detail.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -838,16 +841,22 @@ class _Engine:
         leaves must form a path.  It costs no search node."""
         if not hole:
             return []
-        if hole.bit_count() > 6:
+        if hole.bit_count() not in (3, 6):
             return None
+        adj = self.adj
         for path in self._paths_covering((hole & -hole).bit_length() - 1, hole):
             rest = hole & ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
             if not rest:
                 return [path]
-            low = (rest & -rest).bit_length() - 1
-            last = next(self._paths_covering(low, rest), None)
-            if last is not None:
-                return [path, last]
+            # the first path through the lowest of the 3 left, a < x < y,
+            # in the order of ``_paths_covering``, read off the masks
+            low, y = rest & -rest, rest.bit_length() - 1
+            a, x = low.bit_length() - 1, (rest ^ low ^ (1 << y)).bit_length() - 1
+            ax, ay = adj[a] >> x & 1, adj[a] >> y & 1
+            if ax and ay:
+                return [path, (x, a, y)]
+            if adj[x] >> y & 1 and (ax or ay):
+                return [path, (a, x, y) if ax else (a, y, x)]
         return None
 
 
@@ -1069,22 +1078,23 @@ def residue_factor_clauses(
     Almost every query has a factor, so each is first answered from the
     factors already found, each kept with a mask of its deleted vertices,
     the ``frozenset`` of its edges and a mask of its path at each vertex.
-    Oldest first, one with the query's deleted vertices whose edges avoid
-    the deleted and forbidden ones and hold the forced ones is the answer as
-    it is.  Otherwise, newest first, a found factor W is repaired: it drops
-    its paths that meet the deleted vertices, use a deleted or forbidden
-    edge or touch a forced edge W misses, and ``_Engine.cover_hole``
-    re-covers the hole left (at most 6 vertices) with one or two paths of
-    G, without a search; the result is the answer if the added paths avoid
-    the deleted and forbidden edges and its edges hold the forced ones, and
-    it is kept.  Each hole is covered once: a factor whose cover uses a
-    deleted or forbidden edge is skipped.
+    Oldest first among those found for the query's deleted vertices (a
+    dict keyed by their mask), one whose edges avoid the deleted and
+    forbidden ones and hold the forced ones is the answer as it is.
+    Otherwise, newest first, a found factor W is repaired: it drops its
+    paths that meet the deleted vertices, use a deleted or forbidden edge
+    or touch a forced edge W misses, and ``_Engine.cover_hole`` re-covers
+    the hole left (at most 6 vertices) with one or two paths of G, without
+    a search; the result is the answer if the added paths avoid the
+    deleted and forbidden edges and its edges hold the forced ones, and it
+    is kept.  Each hole has one cover, worked out once per call: a factor
+    whose cover uses a deleted or forbidden edge is skipped.
     Every answer is re-checked by :func:`check_packing`.  Only the other
     queries are searched, each under its own ``budget``, so every "fails"
-    and every "indeterminate" comes from a search of that same query; a
-    query answered without a search spends no budget, so under a small
-    budget a clause may hold where a search of each query would have run
-    out.
+    and every "indeterminate" comes from a search of that same query, the
+    only query whose detail is formatted; a query answered without a
+    search spends no budget, so under a small budget a clause may hold
+    where a search of each query would have run out.
     """
     if not is_cubic(g):
         raise PackingError("predicate battery expects a cubic graph")
@@ -1093,10 +1103,13 @@ def residue_factor_clauses(
     out = dict.fromkeys(_CLAUSES, ClauseResult("n/a"))
     edges = g.sorted_edges()
     full = (1 << g.n) - 1
-    engine = _Engine(PackingProblem(g, Mode.MAX), budget)
+    # the engine has no constraints, so a hole's cover depends on it alone
+    cover = functools.cache(_Engine(PackingProblem(g, Mode.MAX), budget).cover_hole)
     # every factor found so far, oldest first: (mask of its deleted
-    # vertices, the factor, its edges, mask of its path at each vertex)
+    # vertices, the factor, its edges, mask of its path at each vertex),
+    # and by the mask of its deleted vertices, oldest first: (factor, edges)
     factors: list[tuple[int, tuple[LambdaPath, ...], frozenset[Edge], list[int]]] = []
+    exact: dict[int, list[tuple[tuple[LambdaPath, ...], frozenset[Edge]]]] = {}
 
     def repaired(prob: PackingProblem) -> bool:
         """True when a found factor, as it is or repaired, is a factor of
@@ -1104,8 +1117,8 @@ def residue_factor_clauses(
         gone = full ^ prob.alive_mask
         cut = prob.deleted_edges | prob.forbidden_edges
         forced = prob.forced_edges
-        for dead, paths, used, _ in factors:
-            if dead == gone and cut.isdisjoint(used) and forced <= used:
+        for paths, used in exact.get(gone, ()):
+            if cut.isdisjoint(used) and forced <= used:
                 check_packing(prob, paths)
                 return True
         for dead, paths, used, at in reversed(factors):
@@ -1119,14 +1132,14 @@ def residue_factor_clauses(
                 hole |= at[u]
             for u, v in forced - used:
                 hole |= at[u] | at[v]
-            fill = engine.cover_hole(hole & ~gone)
+            fill = cover(hole & ~gone)
             # the kept paths use no cut edge, so only the added ones can
             if fill is None or any(_uses(t, cut) for t in fill):
                 continue
             paths = tuple(p for p in paths if not p.mask & hole) + tuple(
                 LambdaPath.of(*t) for t in fill
             )
-            if not forced <= {e for p in paths for e in p.edges}:
+            if forced and not forced <= {e for p in paths for e in p.edges}:
                 continue
             check_packing(prob, paths)
             keep(prob, paths)
@@ -1135,56 +1148,63 @@ def residue_factor_clauses(
 
     def keep(prob: PackingProblem, paths: tuple[LambdaPath, ...]) -> None:
         at = [0] * g.n
+        used = []
         for p in paths:
-            at[p.u] = at[p.v] = at[p.w] = p.mask
-        used = frozenset(e for p in paths for e in p.edges)
-        factors.append((full ^ prob.alive_mask, paths, used, at))
+            u, v, w = p.u, p.v, p.w
+            at[u] = at[v] = at[w] = (1 << u) | (1 << v) | (1 << w)
+            used += ((u, v) if u < v else (v, u), (v, w) if v < w else (w, v))
+        dead = full ^ prob.alive_mask
+        factors.append((dead, paths, frozenset(used), at))
+        exact.setdefault(dead, []).append(factors[-1][1:3])
 
-    def decide(name: str, queries: Iterable[tuple[PackingProblem, str]]) -> None:
-        for prob, what in queries:
+    def decide(name: str, queries: Iterable[tuple[PackingProblem, str, tuple]]) -> None:
+        for prob, what, args in queries:
             if repaired(prob):
                 continue
             res = solve(prob, budget)
             if res.verdict == "INDETERMINATE":
-                out[name] = ClauseResult("indeterminate", what)
+                out[name] = ClauseResult("indeterminate", what.format(*args))
                 return
             if res.verdict != "SAT":
-                out[name] = ClauseResult("fails", what)
+                out[name] = ClauseResult("fails", what.format(*args))
                 return
             keep(prob, res.paths)
         out[name] = ClauseResult("holds")
 
-    def q(what: str, **kw) -> tuple[PackingProblem, str]:
-        return PackingProblem(g, Mode.FACTOR, **kw), what
+    def q(what: str, *args, **kw) -> tuple[PackingProblem, str, tuple]:
+        return PackingProblem(g, Mode.FACTOR, **kw), what, args
 
     # residue -> {clause: its queries in definition order}, built on demand
-    # for the graph's residue only; each clause's queries stay lazy
+    # for the graph's residue only; each clause's queries stay lazy, and
+    # each detail is a format string and its arguments until it decides
     clauses = {
         0: lambda: {
             "z1": [q("factor")],
-            "z2": (q(f"avoid {e}", forbidden_edges=frozenset({e})) for e in edges),
-            "z3": (q(f"contain {e}", forced_edges=frozenset({e})) for e in edges),
+            "z2": (q("avoid {}", e, forbidden_edges=frozenset({e})) for e in edges),
+            "z3": (q("contain {}", e, forced_edges=frozenset({e})) for e in edges),
             "z4": (
-                q(f"minus edges {e1},{e2}", deleted_edges=frozenset({e1, e2}))
+                q("minus edges {},{}", e1, e2, deleted_edges=frozenset({e1, e2}))
                 for i, e1 in enumerate(edges)
                 for e2 in edges[i + 1 :]
             ),
             "z5": (
-                q(f"minus path {p.vertices}", deleted_vertices=frozenset(p.vertices))
+                q("minus path {}", p.vertices, deleted_vertices=frozenset(p.vertices))
                 for p in enumerate_paths(g)
             ),
         },
         2: lambda: {
             "t2": (
-                q(f"minus endpoints of {e}", deleted_vertices=frozenset(e))
+                q("minus endpoints of {}", e, deleted_vertices=frozenset(e))
                 for e in edges
             ),
         },
         4: lambda: {
-            "f1": (q(f"minus {x}", deleted_vertices=frozenset({x})) for x in range(g.n)),
+            "f1": (q("minus {}", x, deleted_vertices=frozenset({x})) for x in range(g.n)),
             "f2": (
                 q(
-                    f"minus {x} and {e}",
+                    "minus {} and {}",
+                    x,
+                    e,
                     deleted_vertices=frozenset({x}),
                     deleted_edges=frozenset({e}),
                 )

@@ -631,6 +631,43 @@ def run_module(module):
     )
 
 
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """Inputs too large for the memory at hand exit 2 with the one line
+    ``error: out of memory`` and no traceback.  Each runs at once in a
+    child process whose own address space is capped at 512 MB, so the
+    test process keeps its limits."""
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 100000000, "edges": []}')
+    argvs = [
+        ["check", "--input", str(huge)],  # fails building the default labels
+        ["check", "--expr", "prism(99999999999999999999)"],
+        ["solve", "--expr", "prism(100000)", "--max"],  # Graph.adj_masks
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "lambdapack", *argv],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        for argv in argvs
+    ]
+    for argv, proc in zip(argvs, procs):
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == EXIT_PARSE, (argv, err)
+        assert "Traceback" not in err
+        assert [x for x in err.splitlines() if x.startswith("error:")] == [
+            "error: out of memory"
+        ]
+
+
 def test_console_script_entry_point():
     proc = run_module("lambdapack.cli")
     assert proc.returncode == 0

@@ -497,12 +497,31 @@ def _splits_into_paths(g, hole):
     return False
 
 
+def _first_cover(engine, hole):
+    """The first exact cover of ``hole`` in ``cover_hole``'s documented
+    order, by the plain generator walk: each path through the hole's lowest
+    vertex in the order of ``_paths_covering``, then the first path through
+    the lowest vertex it leaves."""
+    if not hole:
+        return []
+    if hole.bit_count() > 6:
+        return None
+    for path in engine._paths_covering((hole & -hole).bit_length() - 1, hole):
+        rest = hole & ~sum(1 << v for v in path)
+        if not rest:
+            return [path]
+        last = next(engine._paths_covering((rest & -rest).bit_length() - 1, rest), None)
+        if last is not None:
+            return [path, last]
+    return None
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cover_hole_covers_exactly_or_says_it_cannot(seed):
     """An empty hole needs no path; a hole of 3 or 6 vertices is covered
     exactly by paths of the graph inside it whenever such paths exist, and
     is None otherwise; a hole of more than 6 vertices is None even when it
-    could be covered."""
+    could be covered.  The cover is the first in the documented order."""
     g = sample_cubic(18, seed)
     engine = packing._Engine(PackingProblem(g, Mode.MAX), Budget())
     assert engine.cover_hole(0) == []
@@ -511,8 +530,10 @@ def test_cover_hole_covers_exactly_or_says_it_cannot(seed):
     rng = random.Random(seed)
     drawn = [set(rng.sample(range(g.n), k)) for k in (3, 6) for _ in range(300)]
     outcomes = set()
-    for hole in paths + pairs + drawn:
+    sizes = [set(rng.sample(range(g.n), k)) for k in (1, 2, 4, 5) for _ in range(20)]
+    for hole in paths + pairs + drawn + sizes:
         fill = engine.cover_hole(sum(1 << v for v in hole))
+        assert fill == _first_cover(engine, sum(1 << v for v in hole)), hole
         outcomes.add((len(hole), fill is None))
         if fill is None:
             assert not _splits_into_paths(g, hole), hole
@@ -522,7 +543,9 @@ def test_cover_hole_covers_exactly_or_says_it_cannot(seed):
         for t in fill:
             path = LambdaPath.of(*t)
             assert all(g.has_edge(*e) for e in path.edges)
-    assert outcomes == {(3, False), (3, True), (6, False), (6, True)}
+    assert outcomes == {(3, False), (3, True), (6, False), (6, True)} | {
+        (k, True) for k in (1, 2, 4, 5)
+    }
     # three disjoint paths: coverable, but more than 6 vertices
     triple = next(
         p | q | r
