@@ -566,9 +566,26 @@ def certificate_to_json(cert: Certificate) -> str:
     return pretty_json(certificate_to_dict(cert)) + "\n"
 
 
+def _typed(value, cls: type, what: str):
+    """``value`` if its type is exactly ``cls`` (a bool is no int), else a
+    CertificateError: no list or dict may reach a set or a dict key."""
+    if type(value) is not cls:
+        noun = {str: "a string", int: "an integer", dict: "an object"}[cls]
+        raise CertificateError(f"{what} must be {noun}, not {type(value).__name__}")
+    return value
+
+
 def _fact_from_payload(data: dict) -> Fact:
-    edge = norm_edge(*data["edge"]) if "edge" in data else None
-    return Fact(data["kind"], data["graph"], data["n"], data.get("vertex"), edge)
+    _typed(data, dict, "fact")
+    ends = [_typed(v, int, "fact edge end") for v in data.get("edge", ())]
+    vertex = data.get("vertex")
+    return Fact(
+        _typed(data["kind"], str, "fact kind"),
+        _typed(data["graph"], str, "fact graph"),
+        _typed(data["n"], int, "fact n"),
+        vertex if vertex is None else _typed(vertex, int, "fact vertex"),
+        norm_edge(*ends) if "edge" in data else None,
+    )
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -591,9 +608,9 @@ def certificate_from_dict(data: dict) -> Certificate:
             names[h] = payload["name"]
     steps = tuple(
         CertStep(
-            s["id"],
-            s["rule"],
-            tuple(s["premises"]),
+            _typed(s["id"], str, "step id"),
+            _typed(s["rule"], str, "step rule"),
+            tuple(_typed(p, str, "premise") for p in s["premises"]),
             _fact_from_payload(s["conclusion"]),
             s["sideConditions"],
             s["evidence"],

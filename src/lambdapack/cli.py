@@ -81,6 +81,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         raise _CliError(
             "give exactly one of --input, --expr, --script", EXIT_PARSE
         )
+    if args.name and not args.script:
+        raise _CliError("--name selects a binding of --script", EXIT_PARSE)
     if args.input:
         text = Path(args.input).read_text()
         if args.input.endswith(".dot"):
@@ -207,22 +209,18 @@ def _property_report(g: Graph) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.problem:
-        if any(getattr(args, s, None) for s in ("input", "expr", "script")):
-            raise _CliError("--problem replaces --input/--expr/--script", EXIT_PARSE)
+        if any(getattr(args, s) for s in ("input", "expr", "script", "name")):
+            raise _CliError("--problem replaces --input/--expr/--script/--name", EXIT_PARSE)
         g, fields = gio.problem_parts(gio.load_json(Path(args.problem).read_text()))
     else:
         g, fields = _load_graph(args), {"mode": Mode.MAX}
     if args.factor or args.max:
         fields["mode"] = Mode.FACTOR if args.factor else Mode.MAX
 
-    def edges(specs: list[str]) -> frozenset:
-        return frozenset(_parse_edge(g, s) for s in specs)
-
     flags = {
-        "deleted_vertices": frozenset(_parse_vertex(g, s) for s in args.delete_vertex),
-        "deleted_edges": edges(args.delete_edge),
-        "forced_edges": edges(args.force_edge),
-        "forbidden_edges": edges(args.avoid_edge),
+        "deleted_vertices": {_parse_vertex(g, s) for s in args.delete_vertex},
+        "forced_edges": {_parse_edge(g, s) for s in args.force_edge},
+        "forbidden_edges": {_parse_edge(g, s) for s in args.avoid_edge},
     }
     for name, extra in flags.items():
         fields[name] = fields.get(name, frozenset()) | extra
@@ -363,8 +361,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="look only for a packing of at least this size")
     p.add_argument("--force-edge", action="append", default=[], metavar="E",
                    help="edge that must lie on a path ('u,v' ids or 'x-y' labels)")
-    p.add_argument("--avoid-edge", action="append", default=[], metavar="E")
-    p.add_argument("--delete-edge", action="append", default=[], metavar="E")
+    p.add_argument("--avoid-edge", "--delete-edge", action="append", default=[],
+                   metavar="E", help="edge no path may use")
     p.add_argument("--delete-vertex", action="append", default=[], metavar="V")
     _add_budget(p)
     p.add_argument("--output", "-o")

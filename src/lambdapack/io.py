@@ -7,8 +7,9 @@ Graph JSON schema::
 Packing problems serialize with the graph embedded::
 
     { "graph": {...}, "mode": "FACTOR",
-      "deletedVertices": [3], "deletedEdges": [], "forcedEdges": [[0,1]],
-      "forbiddenEdges": [] }
+      "deletedVertices": [3], "forcedEdges": [[0,1]], "forbiddenEdges": [] }
+
+``"deletedEdges"`` is read as a synonym of ``"forbiddenEdges"``, never written.
 
 Vertex counts, edge ends and vertex ids are JSON integers: a float, a bool
 or a string there is a :class:`GraphError`, never rounded or converted.
@@ -154,7 +155,6 @@ def problem_to_dict(problem) -> dict:
         "graph": to_json_dict(problem.graph),
         "mode": problem.mode.value,
         "deletedVertices": sorted(problem.deleted_vertices),
-        "deletedEdges": [list(e) for e in sorted(problem.deleted_edges)],
         "forcedEdges": [list(e) for e in sorted(problem.forced_edges)],
         "forbiddenEdges": [list(e) for e in sorted(problem.forbidden_edges)],
     }
@@ -178,9 +178,8 @@ def problem_parts(data: dict) -> tuple[Graph, dict]:
         fields = dict(
             mode=Mode(data.get("mode", "MAX")),
             deleted_vertices=frozenset(_int(v) for v in data.get("deletedVertices", [])),
-            deleted_edges=edge_set("deletedEdges"),
             forced_edges=edge_set("forcedEdges"),
-            forbidden_edges=edge_set("forbiddenEdges"),
+            forbidden_edges=edge_set("forbiddenEdges") | edge_set("deletedEdges"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed problem JSON: {exc}") from exc

@@ -60,16 +60,8 @@ def oracle_solve(problem: PackingProblem) -> PackingResult:
 
 def _naive_paths(problem: PackingProblem) -> list[LambdaPath]:
     g = problem.graph
-    banned = problem.deleted_edges | problem.forbidden_edges
+    usable = g.edges - problem.forbidden_edges
     dead = problem.deleted_vertices
-
-    def usable(a: int, b: int) -> bool:
-        return (
-            a != b
-            and norm_edge(a, b) in g.edges
-            and norm_edge(a, b) not in banned
-        )
-
     out = []
     for v in range(g.n):
         if v in dead:
@@ -78,7 +70,7 @@ def _naive_paths(problem: PackingProblem) -> list[LambdaPath]:
             for w in range(u + 1, g.n):
                 if u == v or w == v or u in dead or w in dead:
                     continue
-                if usable(u, v) and usable(v, w):
+                if norm_edge(u, v) in usable and norm_edge(v, w) in usable:
                     out.append(LambdaPath(u, v, w))
     return sorted(out, key=lambda p: p.vertices)
 

@@ -5,8 +5,8 @@ packing covering every (non-deleted) vertex.  ``solve`` answers three kinds
 of query over a :class:`PackingProblem`:
 
 * FACTOR -- does a factor exist subject to the constraints (deleted
-  vertices/edges, forbidden edges, forced edges)?  Returns SAT with a
-  witness or UNSAT after exhaustion.
+  vertices, forbidden edges, forced edges)?  Returns SAT with a witness
+  or UNSAT after exhaustion.
 * MAX -- the maximum packing size, with witness (OPTIMUM).
 * ``target=k`` (MAX mode) -- is there a packing of at least k paths?
   Returns SAT with a witness of exactly k paths, or UNSAT.
@@ -56,8 +56,8 @@ and the frames run on an explicit stack, so input size never meets
 Python's recursion limit.
 The adjacency masks are the graph's cached ``Graph.adj_masks``, built once
 per graph at O(n^2 / 8) bytes and kept as long as the graph; each problem
-copies them and clears its own deleted and forbidden edges and deleted
-vertices (``PackingProblem.usable_adj_masks``), so repeated queries on one
+copies them and clears its own forbidden edges and deleted vertices
+(``PackingProblem.usable_adj_masks``), so repeated queries on one
 graph pay only for their greedy or their search.
 Independent residual components are solved separately: the smaller ones
 are deepened to their least deficiency, the largest gets the rest of the
@@ -88,11 +88,11 @@ nearly all satisfiable.  It keeps each factor it finds with the set of its
 edges, and answers each query from one of them by set operations on the
 query's own edge sets: as it is when one found for the same deleted
 vertices (looked up by that set) fits, or else repaired: a found factor
-less its paths that meet the query's deleted vertices, use a deleted or
-forbidden edge or touch a forced edge it misses, with the hole left
-covered by one or two paths (one cover per hole, worked out once per
-graph), kept only when those avoid the deleted and forbidden edges.  It
-searches only the rest, and formats only the deciding query's detail.
+less its paths that meet the query's deleted vertices, use a forbidden
+edge or touch a forced edge it misses, with the hole left covered by one
+or two paths (one cover per hole, worked out once per graph), kept only
+when those avoid the forbidden edges.  It searches only the rest, and
+formats only the deciding query's detail.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ class PackingProblem:
     graph: Graph
     mode: Mode = Mode.FACTOR
     deleted_vertices: frozenset[int] = frozenset()
-    deleted_edges: frozenset[Edge] = frozenset()
     forced_edges: frozenset[Edge] = frozenset()
     forbidden_edges: frozenset[Edge] = frozenset()
 
@@ -175,7 +174,7 @@ class PackingProblem:
                 raise PackingError(f"deleted vertex {v!r} is not an int")
             if not 0 <= v < g.n:
                 raise PackingError(f"deleted vertex {v} is not a graph vertex")
-        for name in ("deleted_edges", "forced_edges", "forbidden_edges"):
+        for name in ("forced_edges", "forbidden_edges"):
             for e in getattr(self, name):
                 if not (type(e[0]) is int and type(e[1]) is int):
                     raise PackingError(f"{name} entry {e!r} has an end that is not an int")
@@ -185,8 +184,6 @@ class PackingProblem:
                     raise PackingError(f"{name} entry {e} is not a graph edge")
         if self.forced_edges & self.forbidden_edges:
             raise PackingError("an edge cannot be both forced and forbidden")
-        if self.forced_edges & self.deleted_edges:
-            raise PackingError("an edge cannot be both forced and deleted")
         live = g.n - len(self.deleted_vertices)
         if self.mode == Mode.FACTOR and live % 3 != 0:
             raise PackingError(
@@ -207,10 +204,10 @@ class PackingProblem:
 
     def usable_adj_masks(self) -> list[int]:
         """Adjacency restricted to live endpoints and usable edges: a copy
-        of the graph's cached ``adj_masks``, less the few deleted or
-        forbidden edges and the edges at deleted vertices."""
+        of the graph's cached ``adj_masks``, less the few forbidden edges
+        and the edges at deleted vertices."""
         masks = list(self.graph.adj_masks)
-        for u, v in self.deleted_edges | self.forbidden_edges:
+        for u, v in self.forbidden_edges:
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)
         for x in self.deleted_vertices:
@@ -273,7 +270,8 @@ _U, _V, _W = attrgetter("u"), attrgetter("v"), attrgetter("w")
 def enumerate_paths(
     g: Graph, problem: PackingProblem | None = None
 ) -> tuple[LambdaPath, ...]:
-    """All 3-vertex paths compatible with the problem's deletions/forbidden edges.
+    """All 3-vertex paths compatible with the problem's deleted vertices
+    and forbidden edges.
 
     Canonical ascending order by (u, v, w).
     """
@@ -301,7 +299,7 @@ def check_packing(
     set operations (:func:`_witness_holds`).  Only when that fails does the
     path-by-path check run, which raises the first fault: it checks, in
     this order, each vertex (in range, live, not covered before) and each
-    edge (a graph edge, not deleted or forbidden) of each path, then
+    edge (a graph edge, not forbidden) of each path, then
     forced-edge coverage, then (FACTOR mode) full coverage.  Vertices are
     tracked in one int mask.
     """
@@ -310,7 +308,6 @@ def check_packing(
         return
     g = problem.graph
     n, edges = g.n, g.edges
-    banned = problem.deleted_edges | problem.forbidden_edges
     forced = problem.forced_edges
     alive = problem.alive_mask
     used = 0
@@ -329,7 +326,7 @@ def check_packing(
         for e in ((u, v) if u < v else (v, u), (v, w) if v < w else (w, v)):
             if e not in edges:
                 raise PackingError(f"path {p} uses a non-edge {e}")
-            if e in banned:
+            if e in problem.forbidden_edges:
                 raise PackingError(f"path {p} uses a deleted/forbidden edge {e}")
             if e in forced:
                 covered.add(e)
@@ -344,7 +341,7 @@ def _witness_holds(problem: PackingProblem, paths: list[LambdaPath]) -> bool:
     the whole witness with a few set operations: every path a
     ``LambdaPath`` and every vertex an ``int`` (so no float equal to an int
     passes), live and covered once; every path edge a graph edge (which
-    puts its ends in range), neither deleted nor forbidden; the forced
+    puts its ends in range), not forbidden; the forced
     edges among the path edges; in FACTOR, every live vertex covered.
     False sends ``check_packing`` to the path-by-path check, which finds
     the first fault."""
@@ -367,9 +364,9 @@ def _witness_holds(problem: PackingProblem, paths: list[LambdaPath]) -> bool:
     flipped = {(b, a) for a, b in pairs - edges}
     if not flipped <= edges:
         return False
-    for banned in (problem.deleted_edges, problem.forbidden_edges):
-        if not (pairs.isdisjoint(banned) and flipped.isdisjoint(banned)):
-            return False
+    banned = problem.forbidden_edges
+    if not (pairs.isdisjoint(banned) and flipped.isdisjoint(banned)):
+        return False
     if not problem.forced_edges - pairs <= flipped:
         return False
     live = problem.graph.n - len(problem.deleted_vertices)
@@ -379,12 +376,6 @@ def _witness_holds(problem: PackingProblem, paths: list[LambdaPath]) -> bool:
 # ----------------------------------------------------------------------
 # Search engine
 # ----------------------------------------------------------------------
-
-
-def _uses(path: Triple, edges: frozenset[Edge]) -> bool:
-    """Whether the path ``path`` has an edge in ``edges``."""
-    a, b, c = path
-    return norm_edge(a, b) in edges or norm_edge(b, c) in edges
 
 
 def _bits(mask: int) -> list[int]:
@@ -1079,16 +1070,16 @@ def residue_factor_clauses(
     factors already found, each kept with a mask of its deleted vertices,
     the ``frozenset`` of its edges and a mask of its path at each vertex.
     Oldest first among those found for the query's deleted vertices (a
-    dict keyed by their mask), one whose edges avoid the deleted and
-    forbidden ones and hold the forced ones is the answer as it is.
-    Otherwise, newest first, a found factor W is repaired: it drops its
-    paths that meet the deleted vertices, use a deleted or forbidden edge
-    or touch a forced edge W misses, and ``_Engine.cover_hole`` re-covers
-    the hole left (at most 6 vertices) with one or two paths of G, without
-    a search; the result is the answer if the added paths avoid the
-    deleted and forbidden edges and its edges hold the forced ones, and it
-    is kept.  Each hole has one cover, worked out once per call: a factor
-    whose cover uses a deleted or forbidden edge is skipped.
+    dict keyed by their mask), one whose edges avoid the forbidden ones
+    and hold the forced ones is the answer as it is.  Otherwise, newest
+    first, a found factor W is repaired: it drops its paths that meet the
+    deleted vertices, use a forbidden edge or touch a forced edge W
+    misses, and ``_Engine.cover_hole`` re-covers the hole left (at most 6
+    vertices) with one or two paths of G, without a search; the result is
+    the answer if the added paths avoid the forbidden edges and its edges
+    hold the forced ones, and it is kept.  Each hole has one cover, worked
+    out once per call: a factor whose cover uses a forbidden edge is
+    skipped.
     Every answer is re-checked by :func:`check_packing`.  Only the other
     queries are searched, each under its own ``budget``, so every "fails"
     and every "indeterminate" comes from a search of that same query, the
@@ -1115,7 +1106,7 @@ def residue_factor_clauses(
         """True when a found factor, as it is or repaired, is a factor of
         ``prob``; the answer is re-checked, and a repaired one is kept."""
         gone = full ^ prob.alive_mask
-        cut = prob.deleted_edges | prob.forbidden_edges
+        cut = prob.forbidden_edges
         forced = prob.forced_edges
         for paths, used in exact.get(gone, ()):
             if cut.isdisjoint(used) and forced <= used:
@@ -1134,7 +1125,9 @@ def residue_factor_clauses(
                 hole |= at[u] | at[v]
             fill = cover(hole & ~gone)
             # the kept paths use no cut edge, so only the added ones can
-            if fill is None or any(_uses(t, cut) for t in fill):
+            if fill is None or any(
+                norm_edge(a, b) in cut or norm_edge(b, c) in cut for a, b, c in fill
+            ):
                 continue
             paths = tuple(p for p in paths if not p.mask & hole) + tuple(
                 LambdaPath.of(*t) for t in fill
@@ -1183,7 +1176,7 @@ def residue_factor_clauses(
             "z2": (q("avoid {}", e, forbidden_edges=frozenset({e})) for e in edges),
             "z3": (q("contain {}", e, forced_edges=frozenset({e})) for e in edges),
             "z4": (
-                q("minus edges {},{}", e1, e2, deleted_edges=frozenset({e1, e2}))
+                q("minus edges {},{}", e1, e2, forbidden_edges=frozenset({e1, e2}))
                 for i, e1 in enumerate(edges)
                 for e2 in edges[i + 1 :]
             ),
@@ -1206,7 +1199,7 @@ def residue_factor_clauses(
                     x,
                     e,
                     deleted_vertices=frozenset({x}),
-                    deleted_edges=frozenset({e}),
+                    forbidden_edges=frozenset({e}),
                 )
                 for x in range(g.n)
                 for e in edges

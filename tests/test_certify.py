@@ -138,6 +138,42 @@ def test_wrongly_shaped_json_is_malformed(shape):
     assert len(problems) == 1 and problems[0].startswith("malformed certificate: ")
 
 
+def _conclusion_with(data: dict, key: str) -> dict:
+    return next(s["conclusion"] for s in data["steps"] if key in s["conclusion"])
+
+
+#: a place in the default certificate's JSON, its key there, and a value of
+#: the wrong type for it; a list or an object as a step id or a fact's
+#: graph used to reach a set or a dict key and raise TypeError
+MISTYPED = {
+    "step id as a list": (lambda d: d["steps"][0], "id", ["s1"]),
+    "step id as an object": (lambda d: d["steps"][0], "id", {"s": 1}),
+    "rule name as an int": (lambda d: d["steps"][0], "rule", 1),
+    "premise as a list": (
+        lambda d: next(s["premises"] for s in d["steps"] if s["premises"]),
+        0,
+        ["s1"],
+    ),
+    "final fact graph as a list": (lambda d: d["finalFacts"][0], "graph", ["x"]),
+    "final fact as a string": (lambda d: d["finalFacts"], 0, "x"),
+    "fact kind as a list": (lambda d: d["steps"][0]["conclusion"], "kind", ["k"]),
+    "fact n as a float": (lambda d: d["finalFacts"][0], "n", 72.0),
+    "fact vertex as a string": (lambda d: _conclusion_with(d, "vertex"), "vertex", "0"),
+    "fact edge end as a bool": (lambda d: _conclusion_with(d, "edge")["edge"], 0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_mistyped_fields_are_malformed(default_cert, case):
+    where, key, value = MISTYPED[case]
+    data = json.loads(certificate_to_json(default_cert))
+    where(data)[key] = value
+    with pytest.raises(CertificateError, match=f", not {type(value).__name__}$"):
+        certificate_from_dict(data)
+    problems = check_certificate_detailed(data)
+    assert len(problems) == 1 and problems[0].startswith("malformed certificate: ")
+
+
 def test_wrong_residue_script_rejected():
     # the esub residue signature (0, 4) demands premises that do not exist
     # when the first operand is the six-prism instead of an 18-vertex gadget

@@ -19,7 +19,7 @@ def fault(problem, paths):
     """The first rule ``paths`` breaks as a packing of ``problem``, or None:
     written path by path, with none of ``check_packing``'s shortcuts."""
     g = problem.graph
-    banned = problem.deleted_edges | problem.forbidden_edges
+    banned = problem.forbidden_edges
     seen = []
     edges = set()
     for p in paths:
@@ -58,14 +58,13 @@ def solved(draw):
     vertices = st.integers(min_value=0, max_value=n - 1)
     deleted = draw(st.sets(vertices, min_size=k, max_size=k))
     edges = st.sets(st.sampled_from(sorted(g.edges)), max_size=1)
-    deleted_edges, forbidden, forced = draw(edges), draw(edges), draw(edges)
+    avoided, forbidden, forced = draw(edges), draw(edges), draw(edges)
     problem = PackingProblem(
         g,
         mode,
         deleted_vertices=frozenset(deleted),
-        deleted_edges=frozenset(deleted_edges),
-        forbidden_edges=frozenset(forbidden - deleted_edges),
-        forced_edges=frozenset(forced - deleted_edges - forbidden),
+        forbidden_edges=frozenset(avoided | forbidden),
+        forced_edges=frozenset(forced - avoided - forbidden),
     )
     result = solve(problem)
     assume(result.paths is not None)
@@ -87,7 +86,7 @@ def mutated(draw):
     if kind == "none":
         return problem, paths
     if kind == "banned":
-        banned = sorted(problem.deleted_edges | problem.forbidden_edges)
+        banned = sorted(problem.forbidden_edges)
         assume(banned)
         a, b = draw(st.sampled_from(banned))
         ends = sorted(x for e in g.edges if b in e and a not in e for x in e if x != b)

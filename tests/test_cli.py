@@ -18,6 +18,7 @@ from lambdapack.cli import (
     EXIT_REFUTED,
     main,
 )
+from lambdapack.certify import certificate_to_json, replay_pipeline
 from lambdapack.graph import Graph
 from lambdapack.packing import PackingResult, SolveStats
 from lambdapack.pipeline import DEFAULT_SCRIPT
@@ -171,6 +172,22 @@ def test_solve_flags_apply_before_the_problem_file_is_validated(
         assert "divisible by 3, got 8" in got[2]
     else:
         assert got == run_cli(capsys, "solve", "--expr", expr, *expr_flags)
+
+
+@pytest.mark.parametrize("mode", ["--factor", "--max"])
+def test_delete_edge_is_a_second_name_of_avoid_edge(tmp_path, capsys, mode):
+    """An edge is excluded one way, so ``--delete-edge`` gives what
+    ``--avoid-edge`` gives, and ``deletedEdges`` what ``forbiddenEdges``
+    gives, byte for byte."""
+    plain = ("solve", "--expr", "atlas(S)", mode)
+    avoided = run_cli(capsys, *plain, "--avoid-edge", "0,1")
+    assert avoided[0] == EXIT_OK and avoided[1] != run_cli(capsys, *plain)[1]
+    assert run_cli(capsys, *plain, "--delete-edge", "0,1") == avoided
+    graph = gio.to_json_dict(dsl.build("atlas(S)"))
+    for key in ("deletedEdges", "forbiddenEdges"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"graph": graph, "mode": mode[2:].upper(), key: [[1, 0]]}))
+        assert run_cli(capsys, "solve", "--problem", str(path)) == avoided
 
 
 def test_solve_precondition_exit(capsys):
@@ -415,6 +432,18 @@ def _deep_expr(depth: int = 250) -> str:
         (("solve", "--problem", "{file}"), DEEP_JSON, EXIT_PARSE, "invalid JSON"),
         (("build", "--expr", _deep_expr()), None, EXIT_PARSE, "nested more than"),
         (("check", "--script", "{file}"), _deep_expr(), EXIT_PARSE, "nested more than"),
+        (
+            ("build", "--expr", "atlas(Q)", "--name", "foo"),
+            None,
+            EXIT_PARSE,
+            "--name selects a binding of --script",
+        ),
+        (
+            ("solve", "--problem", "{file}", "--name", "N"),
+            '{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}}',
+            EXIT_PARSE,
+            "--problem replaces",
+        ),
     ],
     ids=[
         "malformed-json",
@@ -428,6 +457,8 @@ def _deep_expr(depth: int = 250) -> str:
         "solve-deep-problem",
         "build-deep-expr",
         "check-deep-script",
+        "build-name-without-script",
+        "solve-name-with-problem",
     ],
 )
 def test_exit_code_matrix(tmp_path, capsys, argv, file_text, code, message):
@@ -512,6 +543,23 @@ def test_check_cert_reports_wrongly_shaped_json(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "check-cert", str(cert_path))
     assert code == EXIT_REFUTED
     assert out == "" and err.startswith("malformed certificate: ")
+
+
+@pytest.mark.parametrize(
+    "part, key, what", [("steps", "id", "step id"), ("finalFacts", "graph", "fact graph")]
+)
+def test_check_cert_reports_a_list_where_a_string_belongs(
+    tmp_path, capsys, part, key, what
+):
+    """A list as a step id or as a final fact's graph is a malformed
+    certificate (exit 5), not a TypeError on its way into a dict or set."""
+    data = json.loads(certificate_to_json(replay_pipeline()))
+    data[part][0][key] = ["x"]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check-cert", str(cert_path))
+    assert (code, out) == (EXIT_REFUTED, "")
+    assert err == f"malformed certificate: {what} must be a string, not list\n"
 
 
 def test_certify_custom_pipeline(tmp_path, capsys):

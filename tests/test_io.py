@@ -160,6 +160,20 @@ def test_problem_round_trip():
     assert problem_to_json(again) == text
 
 
+def test_deleted_edges_are_read_as_forbidden_edges():
+    from lambdapack import Mode, PackingProblem, problem_from_json, problem_to_json
+
+    graph = '{"n": 8, "edges": [[0, 1], [1, 2], [6, 7]]}'
+    text = '{"graph": %s, "deletedEdges": [[1, 0]], "forbiddenEdges": [[6, 7]]}' % graph
+    problem = problem_from_json(text)
+    assert problem == PackingProblem(
+        problem.graph, Mode.MAX, forbidden_edges=frozenset({(0, 1), (6, 7)})
+    )
+    written = json.loads(problem_to_json(problem))
+    assert "deletedEdges" not in written
+    assert written["forbiddenEdges"] == [[0, 1], [6, 7]]
+
+
 def test_problem_edges_are_ordered_as_ints():
     from lambdapack import Mode, PackingProblem, problem_from_json
 

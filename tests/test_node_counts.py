@@ -281,11 +281,10 @@ def test_clause_battery_search_counts_with_repair(
 
 
 def constraints(prob):
-    """A query by its constraints: ``-x`` deletes vertex x, ``-(u, v)``
-    deletes an edge, ``+(u, v)`` forces one and ``!(u, v)`` forbids one."""
+    """A query by its constraints: ``-x`` deletes vertex x, ``+(u, v)``
+    forces an edge and ``!(u, v)`` forbids one."""
     return " ".join(
         [f"-{v}" for v in sorted(prob.deleted_vertices)]
-        + [f"-{e}" for e in sorted(prob.deleted_edges)]
         + [f"+{e}" for e in sorted(prob.forced_edges)]
         + [f"!{e}" for e in sorted(prob.forbidden_edges)]
     )
@@ -300,25 +299,25 @@ BATTERY_ANSWER_PATHS = {
         748,
         [
             ("-0", 8), ("-1", 7), ("-2", 7), ("-4", 8), ("-7", 10), ("-8", 8),
-            ("-9", 8), ("-0 -(1, 2)", 8), ("-0 -(5, 11)", 7), ("-1 -(0, 3)", 7),
-            ("-2 -(0, 3)", 0), ("-2 -(1, 9)", 7), ("-2 -(7, 17)", 7),
-            ("-3 -(0, 18)", 8), ("-3 -(6, 7)", 9), ("-4 -(1, 9)", 8),
-            ("-7 -(0, 3)", 7), ("-8 -(5, 11)", 9), ("-8 -(13, 19)", 7),
-            ("-9 -(1, 2)", 7), ("-9 -(5, 11)", 7), ("-11 -(0, 3)", 11),
+            ("-9", 8), ("-0 !(1, 2)", 8), ("-0 !(5, 11)", 7), ("-1 !(0, 3)", 7),
+            ("-2 !(0, 3)", 0), ("-2 !(1, 9)", 7), ("-2 !(7, 17)", 7),
+            ("-3 !(0, 18)", 8), ("-3 !(6, 7)", 9), ("-4 !(1, 9)", 8),
+            ("-7 !(0, 3)", 7), ("-8 !(5, 11)", 9), ("-8 !(13, 19)", 7),
+            ("-9 !(1, 2)", 7), ("-9 !(5, 11)", 7), ("-11 !(0, 3)", 11),
         ],
     ),
     24: (
         775,
         [
             ("", 8), ("!(0, 2)", 8), ("!(1, 9)", 12), ("!(3, 4)", 8),
-            ("!(6, 22)", 8), ("+(5, 10)", 8), ("-(0, 2) -(0, 17)", 10),
-            ("-(0, 2) -(6, 21)", 8), ("-(0, 2) -(8, 17)", 11),
-            ("-(1, 9) -(2, 10)", 8), ("-(1, 9) -(6, 21)", 8),
-            ("-(1, 9) -(7, 20)", 8), ("-(2, 10) -(9, 10)", 8),
-            ("-(3, 4) -(16, 19)", 8), ("-(3, 6) -(6, 21)", 8),
-            ("-(4, 12) -(6, 22)", 8), ("-(6, 21) -(6, 22)", 8),
-            ("-(7, 15) -(7, 20)", 16), ("-(7, 20) -(20, 21)", 8),
-            ("-(8, 17) -(15, 17)", 8), ("-(11, 13) -(13, 19)", 26),
+            ("!(6, 22)", 8), ("+(5, 10)", 8), ("!(0, 2) !(0, 17)", 10),
+            ("!(0, 2) !(6, 21)", 8), ("!(0, 2) !(8, 17)", 11),
+            ("!(1, 9) !(2, 10)", 8), ("!(1, 9) !(6, 21)", 8),
+            ("!(1, 9) !(7, 20)", 8), ("!(2, 10) !(9, 10)", 8),
+            ("!(3, 4) !(16, 19)", 8), ("!(3, 6) !(6, 21)", 8),
+            ("!(4, 12) !(6, 22)", 8), ("!(6, 21) !(6, 22)", 8),
+            ("!(7, 15) !(7, 20)", 16), ("!(7, 20) !(20, 21)", 8),
+            ("!(8, 17) !(15, 17)", 8), ("!(11, 13) !(13, 19)", 26),
             ("-3 -6 -16", 7), ("-7 -15 -19", 13), ("-0 -17 -22", 10),
         ],
     ),

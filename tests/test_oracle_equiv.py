@@ -127,8 +127,7 @@ def _union_corpus(seed: int, trials: int):
             g,
             Mode.MAX,
             deleted_vertices=deleted_v,
-            deleted_edges=frozenset(usable[:k_del]),
-            forbidden_edges=frozenset(usable[k_del : k_del + k_forb]),
+            forbidden_edges=frozenset(usable[: k_del + k_forb]),
             forced_edges=frozenset(usable[k_del + k_forb : k_del + k_forb + k_forced]),
         )
 

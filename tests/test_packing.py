@@ -180,7 +180,7 @@ def test_forced_and_forbidden_disjoint():
         )
 
 
-@pytest.mark.parametrize("field", ["deleted_edges", "forced_edges", "forbidden_edges"])
+@pytest.mark.parametrize("field", ["forced_edges", "forbidden_edges"])
 def test_loop_edge_is_a_packing_error(field):
     with pytest.raises(PackingError, match="loop edge at vertex 3"):
         PackingProblem(atlas("Q"), Mode.MAX, **{field: frozenset({(3, 3)})})
@@ -191,7 +191,7 @@ def test_loop_edge_is_a_packing_error(field):
     [
         ("deleted_vertices", frozenset({1.0})),
         ("deleted_vertices", frozenset({True})),
-        ("deleted_edges", frozenset({(0.0, 1)})),
+        ("forbidden_edges", frozenset({(0.0, 1)})),
         ("forced_edges", frozenset({(0, 1.0)})),
         ("forbidden_edges", frozenset({(0.0, 1.0)})),
     ],
@@ -231,7 +231,7 @@ C6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
             "path LambdaPath(u=0, v=1, w=3) uses a non-edge (1, 3)",
         ),
         (
-            {"deleted_edges": frozenset({(1, 2)})},
+            {"forbidden_edges": frozenset({(1, 2)})},
             [LambdaPath(0, 1, 2)],
             PackingError,
             "path LambdaPath(u=0, v=1, w=2) uses a deleted/forbidden edge (1, 2)",
@@ -272,8 +272,7 @@ def test_check_packing_accepts_valid_witnesses():
     check_packing(PackingProblem(C6, Mode.MAX, deleted_vertices=frozenset({0})),
                   [LambdaPath(2, 3, 4)])
     check_packing(
-        PackingProblem(C6, Mode.MAX, deleted_edges=frozenset({(1, 2)}),
-                       forbidden_edges=frozenset({(4, 5)})),
+        PackingProblem(C6, Mode.MAX, forbidden_edges=frozenset({(1, 2), (4, 5)})),
         [LambdaPath(2, 3, 4)],
     )
 
@@ -436,8 +435,7 @@ def test_greedy_takes_the_least_candidate_path(sample, seed):
                 g,
                 Mode.MAX,
                 deleted_vertices=frozenset(rng.sample(range(n), rng.randrange(4))),
-                deleted_edges=frozenset(picked[:2]),
-                forbidden_edges=frozenset(picked[2:]),
+                forbidden_edges=frozenset(picked),
             )
             engine = packing._Engine(problem, Budget())
             live = engine.alive_mask.bit_count()
@@ -672,7 +670,7 @@ def _brute_force_factors(problem: PackingProblem) -> set[frozenset[LambdaPath]]:
     """Every factor, as a subset of disjoint usable paths covering the live vertices."""
     g = problem.graph
     live = problem.alive
-    banned = problem.deleted_edges | problem.forbidden_edges
+    banned = problem.forbidden_edges
     paths = [
         LambdaPath.of(a, v, b)
         for v in sorted(live)
@@ -701,7 +699,7 @@ def _constrained_problems():
     yield PackingProblem(s)
     yield PackingProblem(s, forced_edges=frozenset({(0, 1)}))
     yield PackingProblem(s, forbidden_edges=frozenset({(0, 1)}))
-    yield PackingProblem(s, deleted_edges=frozenset({(0, 1), (6, 7)}))
+    yield PackingProblem(s, forbidden_edges=frozenset({(0, 1), (6, 7)}))
     yield PackingProblem(s, deleted_vertices=frozenset({0, 1, 2}))
     yield PackingProblem(atlas("Q"), deleted_vertices=frozenset({0, 7}))
     yield PackingProblem(atlas("K33"), forced_edges=frozenset({min(atlas("K33").edges)}))
@@ -712,8 +710,7 @@ def _constrained_problems():
         picked = rng.sample(edges, 3)
         kw = {
             "forced_edges": frozenset(picked[:1]),
-            "forbidden_edges": frozenset(picked[1:2]),
-            "deleted_edges": frozenset(picked[2:]),
+            "forbidden_edges": frozenset(picked[1:]),
         }
         if seed % 4 == 3:
             kw["deleted_vertices"] = frozenset(rng.sample(range(g.n), 3))
@@ -799,8 +796,7 @@ def test_a_constrained_solve_leaves_the_graph_masks_whole():
         g,
         Mode.MAX,
         deleted_vertices=frozenset({0}),
-        deleted_edges=frozenset({(a, b)}),
-        forbidden_edges=frozenset({(c, d)}),
+        forbidden_edges=frozenset({(a, b), (c, d)}),
     )
     masks = problem.usable_adj_masks()
     assert masks[0] == 0 and not any(m & 1 for m in masks)

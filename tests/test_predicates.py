@@ -36,7 +36,7 @@ def clause_queries(g):
             "z2": [(q(forbidden_edges=frozenset({e})), f"avoid {e}") for e in edges],
             "z3": [(q(forced_edges=frozenset({e})), f"contain {e}") for e in edges],
             "z4": [
-                (q(deleted_edges=frozenset({e1, e2})), f"minus edges {e1},{e2}")
+                (q(forbidden_edges=frozenset({e1, e2})), f"minus edges {e1},{e2}")
                 for i, e1 in enumerate(edges)
                 for e2 in edges[i + 1 :]
             ],
@@ -57,7 +57,7 @@ def clause_queries(g):
             "f1": [(q(deleted_vertices=frozenset({x})), f"minus {x}") for x in range(g.n)],
             "f2": [
                 (
-                    q(deleted_vertices=frozenset({x}), deleted_edges=frozenset({e})),
+                    q(deleted_vertices=frozenset({x}), forbidden_edges=frozenset({e})),
                     f"minus {x} and {e}",
                 )
                 for x in range(g.n)
