@@ -28,7 +28,7 @@ from .constructions import (
     ymerge,
     ymerge3,
 )
-from .dsl import ParseError, build, parse_expr, parse_script, run_script
+from .dsl import ParseError, build, run_script
 from .graph import (
     CutReport,
     DegreeProfile,
@@ -105,8 +105,6 @@ __all__ = [
     "is_cubic",
     "is_planar",
     "oracle_solve",
-    "parse_expr",
-    "parse_script",
     "prism",
     "problem_from_json",
     "problem_to_json",

@@ -566,11 +566,14 @@ def certificate_to_json(cert: Certificate) -> str:
     return pretty_json(certificate_to_dict(cert)) + "\n"
 
 
+_NOUNS = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+
+
 def _typed(value, cls: type, what: str):
     """``value`` if its type is exactly ``cls`` (a bool is no int), else a
     CertificateError: no list or dict may reach a set or a dict key."""
     if type(value) is not cls:
-        noun = {str: "a string", int: "an integer", dict: "an object"}[cls]
+        noun = _NOUNS[cls]
         raise CertificateError(f"{what} must be {noun}, not {type(value).__name__}")
     return value
 
@@ -598,14 +601,16 @@ def certificate_from_dict(data: dict) -> Certificate:
     graphs: dict[str, Graph] = {}
     names: dict[str, str] = {}
     for h, payload in data["graphs"].items():
+        labels = _typed(payload["labels"], list, "graph labels")
         g = Graph.from_edges(
             payload["n"],
             [tuple(e) for e in payload["edges"]],
-            payload["labels"],
+            [_typed(label, str, "graph label") for label in labels],
         )
         graphs[h] = g
-        if payload.get("name"):
-            names[h] = payload["name"]
+        name = _typed(payload.get("name", ""), str, "graph name")
+        if name:
+            names[h] = name
     steps = tuple(
         CertStep(
             _typed(s["id"], str, "step id"),
@@ -618,7 +623,10 @@ def certificate_from_dict(data: dict) -> Certificate:
         for s in data["steps"]
     )
     finals = tuple(_fact_from_payload(f) for f in data["finalFacts"])
-    return Certificate(graphs, names, steps, finals, tuple(data.get("notes", ())))
+    notes = _typed(data.get("notes", []), list, "notes")
+    return Certificate(
+        graphs, names, steps, finals, tuple(_typed(x, str, "note") for x in notes)
+    )
 
 
 def certificate_from_json(text: str) -> Certificate:

@@ -1,11 +1,12 @@
 """Rule derivations, base grounding, certificate replay and validation."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from lambdapack import Graph, atlas
+from lambdapack import Graph, atlas, certify, cli
 from lambdapack.certify import (
     KIND_AVOIDING,
     KIND_CONTAINING,
@@ -142,6 +143,10 @@ def _conclusion_with(data: dict, key: str) -> dict:
     return next(s["conclusion"] for s in data["steps"] if key in s["conclusion"])
 
 
+def _first_graph(data: dict) -> dict:
+    return data["graphs"][min(data["graphs"])]
+
+
 #: a place in the default certificate's JSON, its key there, and a value of
 #: the wrong type for it; a list or an object as a step id or a fact's
 #: graph used to reach a set or a dict key and raise TypeError
@@ -160,6 +165,11 @@ MISTYPED = {
     "fact n as a float": (lambda d: d["finalFacts"][0], "n", 72.0),
     "fact vertex as a string": (lambda d: _conclusion_with(d, "vertex"), "vertex", "0"),
     "fact edge end as a bool": (lambda d: _conclusion_with(d, "edge")["edge"], 0, True),
+    "graph name as a list": (lambda d: _first_graph(d), "name", [1, {"a": 2}]),
+    "graph labels as an object": (lambda d: _first_graph(d), "labels", {"0": "a"}),
+    "graph label as a list": (lambda d: _first_graph(d)["labels"], 0, ["a"]),
+    "notes as a string": (lambda d: d, "notes", "x"),
+    "note as null": (lambda d: d["notes"], 0, None),
 }
 
 
@@ -172,6 +182,22 @@ def test_mistyped_fields_are_malformed(default_cert, case):
         certificate_from_dict(data)
     problems = check_certificate_detailed(data)
     assert len(problems) == 1 and problems[0].startswith("malformed certificate: ")
+
+
+def test_a_mistyped_graph_name_and_notes_fail_check_cert(default_cert, tmp_path, capsys):
+    """Neither reaches the certificate unchecked: ``check-cert`` exits 5."""
+    data = json.loads(certificate_to_json(default_cert))
+    _first_graph(data)["name"] = [1, {"a": 2}]
+    data["notes"] = [1, None]
+    assert check_certificate_detailed(data) == [
+        "malformed certificate: graph name must be a string, not list"
+    ]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check-cert", str(path)]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().err == (
+        "malformed certificate: graph name must be a string, not list\n"
+    )
 
 
 def test_wrong_residue_script_rejected():
@@ -568,8 +594,33 @@ def _lost_side_condition(data: dict) -> str:
     return f"step {step['id']}: malformed step (KeyError('a'))"
 
 
+def _operand_of_wrong_residue(data: dict) -> str:
+    # the 12-vertex six-prism holds the edge (0, 1) that R1's cube operand does
+    step = _step(data, "R1")
+    step["sideConditions"]["a"]["graph"] = next(
+        h for h, g in data["graphs"].items() if g["n"] == 12
+    )
+    return f"step {step['id']}: R1 needs operand residues (2, 2) mod 6, got (0, 2)"
+
+
+def _non_cubic_operand(data: dict) -> str:
+    # an 8-cycle has the residue R1 asks for, but degree 2
+    cycle = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    data["graphs"][graph_hash(cycle)] = {
+        "name": "",
+        "n": 8,
+        "edges": [list(e) for e in cycle.sorted_edges()],
+        "labels": list(cycle.labels),
+    }
+    step = _step(data, "R1")
+    step["sideConditions"]["a"]["graph"] = graph_hash(cycle)
+    return f"step {step['id']}: rule requires cubic operands"
+
+
 CHECKER_REJECTIONS = {
     "graph entry off its hash": _drop_an_edge,
+    "operand of the wrong residue": _operand_of_wrong_residue,
+    "operand not cubic": _non_cubic_operand,
     "unknown rule": _unknown_rule,
     "SAT base verdict": _sat_base_verdict,
     "rule step without a side condition": _lost_side_condition,
@@ -591,3 +642,38 @@ def test_checker_rejects_a_step_whose_graph_is_missing(default_cert):
     assert check_certificate_detailed(cert) == [
         f"step {base.step_id}: conclusion graph missing from table"
     ]
+
+
+K_SCRIPT = "let K = ebridge(atlas(Q)@000-001, atlas(Q)@000-001)\n"
+
+
+def _patch_r1(monkeypatch, **row) -> None:
+    """Replace R1 in the rule table that replay reads; the checker keeps
+    reading the rows it was imported with."""
+    r1 = dataclasses.replace(certify.RULES[0], **row)
+    monkeypatch.setattr(certify, "RULES", (r1, *certify.RULES[1:]))
+
+
+def test_a_false_rule_conclusion_is_refuted_by_replay(monkeypatch, tmp_path, capsys):
+    # K has factors, and every one of them avoids the middle edge
+    _patch_r1(monkeypatch, conclusion=lambda a, d, p: (KIND_AVOIDING, None, d.middle_edge))
+    with pytest.raises(ReplayError) as exc:
+        replay_pipeline(K_SCRIPT)
+    assert isinstance(exc.value.__cause__, FactRefuted)
+    script = tmp_path / "k.lp"
+    script.write_text(K_SCRIPT)
+    assert cli.main(["certify", "--pipeline", str(script)]) == cli.EXIT_REFUTED
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: base search refuted no_factor_avoiding on K")
+
+
+def test_a_side_condition_the_checker_rebuilds_otherwise_fails_the_self_check(
+    monkeypatch, tmp_path, capsys
+):
+    _patch_r1(monkeypatch, extra=lambda a, d, p: {"middle_edge": [0, 1]})
+    script = tmp_path / "k.lp"
+    script.write_text(K_SCRIPT)
+    assert cli.main(["certify", "--pipeline", str(script)]) == cli.EXIT_REFUTED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "self-check failed: step s1: R1 step does not match its rebuilt side conditions\n"

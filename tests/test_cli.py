@@ -728,6 +728,13 @@ def test_package_runs_as_a_module():
     assert "K4" in proc.stdout
 
 
+def test_module_prints_what_main_prints(capsys):
+    """``python -m lambdapack`` runs ``__main__.py``, which exits with
+    ``cli.main``'s code after printing what ``cli.main`` prints."""
+    proc = run_module("lambdapack")
+    assert (proc.returncode, proc.stdout) == (0, run_cli(capsys, "atlas")[1])
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(capsys):
     plain = ("solve", "--expr", "ebridge(Q@e1, Q@e1)", "--max")
     forced = (*plain, "--force-edge", "z1-z2")

@@ -2,25 +2,14 @@
 
 import pytest
 
-from lambdapack import ParseError, atlas, build, parse_expr, run_script
+from lambdapack import ParseError, atlas, build, run_script
 from lambdapack.constructions import OPERATORS, PortedVertex
-from lambdapack.dsl import (
-    MAX_NESTING,
-    AtlasRef,
-    BindingRef,
-    Call,
-    EdgeAnchor,
-    ResolveError,
-    VertexAnchor,
-    parse_script,
-)
+from lambdapack.dsl import MAX_NESTING, ResolveError
 from lambdapack.pipeline import DEFAULT_SCRIPT
 
 
 def test_atlas_ref_parses_and_builds():
-    node = parse_expr("atlas(Q)")
-    assert node == AtlasRef("Q")
-    assert build(node) == atlas("Q")
+    assert build("atlas(Q)") == atlas("Q")
 
 
 def test_bare_name_is_atlas_shorthand():
@@ -43,20 +32,20 @@ def test_ports_override():
 
 def test_malformed_input_reports_position():
     with pytest.raises(ParseError) as err:
-        parse_expr("vsub(Q")
+        build("vsub(Q")
     assert "line 1" in str(err.value)
     with pytest.raises(ParseError):
-        parse_expr("frobnicate(Q@a)")
+        build("frobnicate(Q@a)")
     with pytest.raises(ParseError):
-        parse_expr("atlas(Q) extra")
+        build("atlas(Q) extra")
     vertex, edge = "Q@000", "Q@000-001"
     for op, spec in OPERATORS.items():
         anchor = vertex if spec.anchor is PortedVertex else edge
         with pytest.raises(ParseError):
-            parse_expr(f"{op}({', '.join([anchor] * (spec.arity - 1))})")
+            build(f"{op}({', '.join([anchor] * (spec.arity - 1))})")
     for text in (f"vsub({edge}, {vertex})", f"esub({vertex}, {edge})"):
         with pytest.raises(ParseError):
-            parse_expr(text)
+            build(text)
 
 
 def test_unknown_names_report_path():
@@ -67,28 +56,6 @@ def test_unknown_names_report_path():
         build("atlas(Nope)")
     with pytest.raises(ResolveError):
         build("SomeBinding")
-
-
-def test_hand_built_call_with_unknown_operator_reports_path():
-    with pytest.raises(ResolveError) as err:
-        build(Call("nosuch", ()))
-    assert err.value.path == "$"
-    assert "nosuch" in str(err.value)
-
-
-def test_hand_built_call_with_wrong_anchor_count_reports_path():
-    cube_edge = EdgeAnchor(AtlasRef("Q"), ("000", "001"), None)
-    with pytest.raises(ResolveError) as err:
-        build(Call("esub", (cube_edge,)))
-    assert err.value.path == "$"
-    assert "2 anchors" in str(err.value)
-
-
-def test_hand_built_call_with_wrong_anchor_kind_reports_path():
-    cube_vertex = VertexAnchor(AtlasRef("Q"), "000", None)
-    with pytest.raises(ResolveError) as err:
-        build(Call("esub", (cube_vertex, cube_vertex)))
-    assert err.value.path == "$"
 
 
 def test_script_bindings_and_comments():
@@ -106,7 +73,7 @@ def test_script_bindings_and_comments():
 @pytest.mark.parametrize("name", ["atlas", *OPERATORS])
 def test_script_rejects_reserved_binding(name):
     with pytest.raises(ParseError):
-        parse_script(f"let {name} = atlas(Q)")
+        run_script(f"let {name} = atlas(Q)")
 
 
 def test_default_script_builds_counterexample():
@@ -133,14 +100,6 @@ def test_build_is_deterministic():
     assert g1 == g2 and g1.labels == g2.labels
 
 
-def test_call_shape():
-    node = parse_expr("esub(atlas(Q)@000-001, atlas(S)@o0-o1)")
-    assert isinstance(node, Call) and node.op == "esub"
-    assert isinstance(node.args[0].expr, AtlasRef)
-    inner = parse_expr("vsub(K@z1[z2,u,w], S@s[p1,p2,p3])")
-    assert isinstance(inner.args[0].expr, BindingRef)
-
-
 def _nested(depth: int) -> str:
     """vsub nested ``depth`` calls deep through its first operand."""
     expr, label = "K4", "v1"
@@ -160,29 +119,9 @@ def test_over_deep_nesting_is_a_parse_error_with_position(depth):
     # the error points at the opening parenthesis of the first call too deep
     col = len("vsub(") * (MAX_NESTING + 1)
     text = _nested(depth)
-    for parse in (parse_expr, build):
-        with pytest.raises(ParseError) as exc:
-            parse(text)
-        assert (exc.value.line, exc.value.col) == (1, col)
+    with pytest.raises(ParseError) as exc:
+        build(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
     with pytest.raises(ParseError) as exc:
         run_script(f"let A = K4\nlet B = {text}\n")
     assert (exc.value.line, exc.value.col) == (2, len("let B = ") + col)
-
-
-def _nested_ast(depth: int) -> Call:
-    """The AST of ``_nested(depth)``, built by hand."""
-    expr, label = BindingRef("K4"), "v1"
-    for _ in range(depth):
-        anchors = (VertexAnchor(expr, label, None), VertexAnchor(BindingRef("K4"), "v0", None))
-        expr, label = Call("vsub", anchors), "B.v1"
-    return expr
-
-
-def test_hand_built_nesting_is_bounded_like_the_parser():
-    assert _nested_ast(MAX_NESTING) == parse_expr(_nested(MAX_NESTING))
-    assert build(_nested_ast(MAX_NESTING)).n == 4 + 2 * MAX_NESTING
-    for depth in (MAX_NESTING + 1, 400):
-        with pytest.raises(ResolveError) as err:
-            build(_nested_ast(depth))
-        # raised at the first call too deep, below MAX_NESTING calls
-        assert err.value.path == "$" + "/vsub[0]/expr" * MAX_NESTING

@@ -1,11 +1,12 @@
-"""Mutated problem files and certificates through the CLI: each run ends
-with an exit code from the ``cli`` docstring's table and at most one
-``error:`` line, never with a traceback."""
+"""Mutated problem files, certificates and construction scripts through
+the CLI: each run ends with an exit code from the ``cli`` docstring's table
+and at most one ``error:`` line, never with a traceback."""
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from lambdapack import cli, dsl, io as gio
 from lambdapack.certify import certificate_to_json, replay_pipeline
+from lambdapack.pipeline import DEFAULT_SCRIPT
 
 EXIT_CODES = {
     cli.EXIT_OK,
@@ -100,3 +102,54 @@ def test_a_mutated_certificate_is_valid_or_refuted(doc):
     code, err = run_cli_on(doc, "check-cert", "{file}")
     assert code in (cli.EXIT_OK, cli.EXIT_REFUTED)
     assert "Traceback" not in err
+
+
+#: ``DEFAULT_SCRIPT`` cut into names, runs of blanks and single characters
+SCRIPT_TOKENS = re.findall(r"[A-Za-z0-9_.]+|[ \t]+|\n|.", DEFAULT_SCRIPT)
+#: what a mutation puts in; its numbers are small, so no mutant asks for a
+#: large prism even where three of them meet
+NEW_TOKENS = st.sampled_from(
+    [
+        "(", ")", "@", ",", "-", "[", "]", "=", "#", "\n", " ", "let", "atlas",
+        "prism", "vsub", "ymerge3", "ymerge", "esub", "ebridge", "Q", "S", "K4",
+        "K33", "K", "H", "D", "e1", "e9", "0", "2", "3", "000", "z1", "o0",
+        "A.000", "nosuch",
+    ]
+)
+
+
+@st.composite
+def script_mutants(draw) -> str:
+    """``DEFAULT_SCRIPT`` with one to three tokens dropped, replaced or
+    inserted."""
+    tokens = list(SCRIPT_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "replace", "insert"]))
+        i = draw(st.integers(0, len(tokens) - (how != "insert")))
+        if how == "drop":
+            del tokens[i]
+        elif how == "replace":
+            tokens[i] = draw(NEW_TOKENS)
+        else:
+            tokens.insert(i, draw(NEW_TOKENS))
+    return "".join(tokens)
+
+
+@seed(29)
+@settings(max_examples=100, deadline=None)
+@given(script_mutants())
+def test_a_mutated_script_builds_or_is_one_error_line(text):
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "script.lp"
+        path.write_text(text)
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["build", "--script", str(path)])
+            runs.append((code, out.getvalue(), err.getvalue()))
+    (code, out, err), again = runs
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+    assert again[1] == out
