@@ -1,7 +1,8 @@
 """The composition operators and the 72-vertex pipeline.
 
-Builds each operator by hand once, then replays the whole default pipeline
-from its script form and confirms the well-known vertex counts
+Builds each operator by hand once (each builder returns the composite's
+detail: its graph, id maps and new edges), then replays the whole default
+pipeline from its script form and confirms the well-known vertex counts
 (18, 54, 28, 46, 54, 72).  Also shows port bookkeeping: the i-th port of
 one side always joins the i-th port of the other, so compositions are
 reproducible down to vertex ids.
@@ -15,15 +16,16 @@ from lambdapack.planarity import is_planar
 
 print("=== one operator at a time ===")
 k4 = atlas("K4")
-g = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
+g = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0)).graph
 print(f"vsub(K4,K4): n={g.n} (triangle prism), cubic={is_cubic(g)}")
 
 q = atlas("Q")
-k, middle = ebridge(PortedEdge(q, 0, 1), PortedEdge(q, 0, 1))
+bridged = ebridge(PortedEdge(q, 0, 1), PortedEdge(q, 0, 1))
+k, middle = bridged.graph, bridged.middle_edge
 print(f"ebridge(Q,Q): n={k.n}, middle edge between "
       f"{k.labels[middle[0]]!r} and {k.labels[middle[1]]!r}")
 
-r = ymerge(PortedVertex(k, middle[0], (middle[1], 0, 8)))
+r = ymerge(PortedVertex(k, middle[0], (middle[1], 0, 8))).graph
 print(f"ymerge(K at z1): n={r.n}, bipartite={is_bipartite(r)[0]}, "
       f"planar={is_planar(r).planar}  <- the triple merge loses planarity")
 

@@ -20,16 +20,16 @@ pairs with the i-th port of the other, so the exact isomorph produced is
 reproducible.  Default port order is ascending vertex id; callers override
 it when a construction requires a specific alignment.
 
-Each operator has a ``*_detail`` variant returning the id maps from the
-operand graphs into the composite and the newly created edges; the plain
-functions return just the graph.  Labels record provenance: "A."/"B."
-prefixes for binary operators, "Y1."/"Y2."/"Y3." for the triple merge,
-and fresh vertices are labeled z1/z2/z3.
+Each operator has one builder, and it returns the composite's detail: the
+graph (``.graph``), the id maps from the operand graphs into it and the
+newly created edges (``ebridge`` adds its ``.middle_edge``).  Labels record
+provenance: "A."/"B." prefixes for binary operators, "Y1."/"Y2."/"Y3." for
+the triple merge, and fresh vertices are labeled z1/z2/z3.
 
 :data:`OPERATORS` declares each operator once: its anchor type, anchor
-count and ``*_detail`` builder.  The construction language and the
-certifier read it, so a new operator is one row there, plus a
-``certify.RULES`` row if an inference rule applies to it.
+count and builder.  The construction language and the certifier read it,
+so a new operator is one row there, plus a ``certify.RULES`` row if an
+inference rule applies to it.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _copy_side(
     return remap, labels
 
 
-def vsub_detail(a: PortedVertex, b: PortedVertex) -> BinaryDetail:
+def vsub(a: PortedVertex, b: PortedVertex) -> BinaryDetail:
     """Vertex substitution: (A - a) + (B - b) joined port-to-port."""
     ga, gb = a.graph, b.graph
     map_a, labels_a = _copy_side(ga, frozenset({a.v}), "A.", 0)
@@ -165,13 +165,7 @@ def vsub_detail(a: PortedVertex, b: PortedVertex) -> BinaryDetail:
     return BinaryDetail(graph, map_a, map_b, seam)
 
 
-def vsub(a: PortedVertex, b: PortedVertex) -> Graph:
-    return vsub_detail(a, b).graph
-
-
-def ymerge3_detail(
-    a1: PortedVertex, a2: PortedVertex, a3: PortedVertex
-) -> TripleDetail:
+def ymerge3(a1: PortedVertex, a2: PortedVertex, a3: PortedVertex) -> TripleDetail:
     """Three-way merge through three new hub vertices z1,z2,z3.
 
     Hub j is joined to port j of every side, so each side contributes a
@@ -202,20 +196,12 @@ def ymerge3_detail(
     return TripleDetail(graph, tuple(maps), hubs, tuple(side_edges))
 
 
-def ymerge3(a1: PortedVertex, a2: PortedVertex, a3: PortedVertex) -> Graph:
-    return ymerge3_detail(a1, a2, a3).graph
-
-
-def ymerge_detail(a: PortedVertex) -> TripleDetail:
+def ymerge(a: PortedVertex) -> TripleDetail:
     """ymerge3 over three copies of the same ported vertex."""
-    return ymerge3_detail(a, a, a)
+    return ymerge3(a, a, a)
 
 
-def ymerge(a: PortedVertex) -> Graph:
-    return ymerge_detail(a).graph
-
-
-def esub_detail(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
+def esub(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
     """Edge substitution: drop one edge per side, bridge the endpoints pairwise."""
     ga, gb = a.graph, b.graph
     map_a, labels_a = _copy_side(ga, frozenset(), "A.", 0)
@@ -233,16 +219,12 @@ def esub_detail(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
     return BinaryDetail(graph, map_a, map_b, bridges)
 
 
-def esub(a: PortedEdge, b: PortedEdge) -> Graph:
-    return esub_detail(a, b).graph
-
-
-def ebridge_detail(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
+def ebridge(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
     """esub with both bridges subdivided and the two new vertices joined.
 
     The edge between the two new vertices is the designated middle edge.
     """
-    sub = esub_detail(a, b)
+    sub = esub(a, b)
     z1, z2 = sub.graph.n, sub.graph.n + 1
     # each bridge (x, y) becomes x-z-y; z1, z2 exceed every id, so the
     # halves are already normalized
@@ -253,14 +235,9 @@ def ebridge_detail(a: PortedEdge, b: PortedEdge) -> BinaryDetail:
     return BinaryDetail(graph, sub.map_a, sub.map_b, new, middle_edge=(z1, z2))
 
 
-def ebridge(a: PortedEdge, b: PortedEdge) -> tuple[Graph, Edge]:
-    detail = ebridge_detail(a, b)
-    assert detail.middle_edge is not None
-    return detail.graph, detail.middle_edge
-
-
 class Operator(NamedTuple):
-    """``arity`` anchors of type ``anchor``, passed in order to ``detail``."""
+    """``arity`` anchors of type ``anchor``, passed in order to ``detail``,
+    the operator's builder, which returns the composite's detail."""
 
     anchor: type[PortedVertex] | type[PortedEdge]
     arity: int
@@ -268,11 +245,11 @@ class Operator(NamedTuple):
 
 
 OPERATORS: dict[str, Operator] = {
-    "vsub": Operator(PortedVertex, 2, vsub_detail),
-    "ymerge3": Operator(PortedVertex, 3, ymerge3_detail),
-    "ymerge": Operator(PortedVertex, 1, ymerge_detail),
-    "esub": Operator(PortedEdge, 2, esub_detail),
-    "ebridge": Operator(PortedEdge, 2, ebridge_detail),
+    "vsub": Operator(PortedVertex, 2, vsub),
+    "ymerge3": Operator(PortedVertex, 3, ymerge3),
+    "ymerge": Operator(PortedVertex, 1, ymerge),
+    "esub": Operator(PortedEdge, 2, esub),
+    "ebridge": Operator(PortedEdge, 2, ebridge),
 }
 
 

@@ -127,6 +127,15 @@ class _Reader:
             raise self.error(f"expected a name, found {found!r}")
         return self.text[start : self.pos]
 
+    def integer(self, digits: str, end: int) -> int:
+        """``digits``, which end at ``end``, as an int; a digit string longer
+        than Python converts is a ParseError at its first digit."""
+        try:
+            return int(digits)
+        except ValueError:
+            message = f"integer of {len(digits)} digits is too long"
+            raise ParseError(message, self.line, end - len(digits) + 1) from None
+
     def end(self) -> None:
         if self.peek():
             raise self.error(f"trailing input {self.text[self.pos:]!r}")
@@ -156,7 +165,7 @@ class _Reader:
             if op == "prism":
                 if not arg.isdigit():
                     raise self.error(f"prism size must be an integer, got {arg!r}")
-                arg = int(arg)
+                arg = self.integer(arg, self.pos)
             self.expect(")")
             make = cons.atlas if op == "atlas" else cons.prism
             return BuildRecord(name, _resolved(path, make, arg), None, (), None)
@@ -196,11 +205,14 @@ class _Reader:
     def edge_anchor(self, path: str) -> cons.PortedEdge:
         g = self.expr(path + "/expr").graph
         self.expect("@")
-        first, second = self.name(), None
+        first, end = self.name(), self.pos
+        second = index = None
         if self.peek() == "-":
             self.pos += 1
             second = self.name()
-        elif not (first[:1] == "e" and first[1:].isdigit()):
+        elif first[:1] == "e" and first[1:].isdigit():
+            index = self.integer(first[1:], end)
+        else:
             raise self.error(
                 f"edge anchor must be 'label-label' or 'e<k>', got {first!r}"
             )
@@ -210,7 +222,6 @@ class _Reader:
                 u, v = g.vertex_by_label(first), g.vertex_by_label(second)
                 return cons.PortedEdge(g, u, v)
             ordered = g.sorted_edges()
-            index = int(first[1:])
             if not 1 <= index <= len(ordered):
                 raise GraphError(
                     f"edge index e{index} out of range (graph has {len(ordered)} edges)"

@@ -194,11 +194,12 @@ def problem_from_dict(data: dict):
 
 
 def load_json(text: str):
-    """Parse JSON text; malformed text, or text nested deeper than the
-    parser's recursion allows, is a :class:`GraphError`."""
+    """Parse JSON text; malformed text, a number longer than Python's
+    integer string limit, or text nested deeper than the parser's recursion
+    allows, is a :class:`GraphError`."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise GraphError(f"invalid JSON: {exc}") from exc
 
 
@@ -254,7 +255,12 @@ def from_dot(text: str) -> Graph:
             raise GraphError(f"DOT line {lineno}: statement outside graph block")
         m = _DOT_NODE.match(line)
         if m:
-            label, idx = _unquote(m.group(1)), int(m.group(2))
+            label, digits = _unquote(m.group(1)), m.group(2)
+            try:
+                idx = int(digits)
+            except ValueError:  # more digits than Python converts
+                message = f"node id of {len(digits)} digits is too long"
+                raise GraphError(f"DOT line {lineno}: {message}") from None
             if label in ids:
                 raise GraphError(f"DOT line {lineno}: duplicate node {label!r}")
             ids[label] = idx

@@ -34,8 +34,8 @@ from lambdapack.certify import (
 from lambdapack.constructions import (
     PortedVertex,
     side_vertices,
-    vsub_detail,
-    ymerge_detail,
+    vsub,
+    ymerge,
 )
 from lambdapack.pipeline import (
     EXPECTED_VERTEX_COUNTS,
@@ -176,7 +176,7 @@ def test_criterion_6_oracle_equivalence():
         start = time.monotonic()
         corpus = [atlas(name) for name in ("K4", "K33", "Q", "S")]
         corpus.append(
-            vsub_detail(
+            vsub(
                 PortedVertex.default(atlas("K4"), 0),
                 PortedVertex.default(atlas("K4"), 0),
             ).graph
@@ -227,7 +227,7 @@ def test_criterion_8_invariant_suites():
         pairs = [("K4", "K4"), ("K33", "Q"), ("Q", "K33"), ("Q", "S"), ("S", "Q")]
         total = 0
         for na, nb in pairs:
-            detail = vsub_detail(
+            detail = vsub(
                 PortedVertex.default(atlas(na), 0),
                 PortedVertex.default(atlas(nb), 0),
             )
@@ -240,7 +240,7 @@ def test_criterion_8_invariant_suites():
         assert total > 0
 
         # factors of triple merges meet each side cut in 1 or 2 paths
-        detail = ymerge_detail(PortedVertex.default(atlas("K33"), 0))
+        detail = ymerge(PortedVertex.default(atlas("K33"), 0))
         g = detail.graph
         found = 0
         for factor in enumerate_factors(PackingProblem(g, Mode.FACTOR)):

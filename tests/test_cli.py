@@ -86,6 +86,8 @@ SEPARATOR_GRAPHS = {
 #: SHA-256 of ``check --format json`` stdout, separators included
 CHECK_REPORT_SHA256 = {
     "N": "48dcc5169bf5192a2214b0196ec3291975a03702220a71c855fc2e9f4cf712ab",
+    "R": "94b8913ad6af50768db5b7ac7d296ade92a065db60481c92c748e2c200ce5e52",
+    "atlas(K33)": "83e7e837b730c976412b56dee61bfc0d12bf3aaf996505a64a2defea3d137001",
     "prism(9)": "8896e8129513a724ba356ea141ac777cfe858b37f435b095534e1bbd7117dae6",
     "cut_vertex": "19773699d3b09c7d631df1cf9289238cc9e6e0500fcfe99373a928a3dfe45064",
     "separating_pair": (
@@ -99,10 +101,10 @@ CHECK_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(CHECK_REPORT_SHA256))
 def test_check_json_report_bytes_are_pinned(tmp_path, capsys, name):
-    if name == "N":
+    if name in ("N", "R"):
         source = tmp_path / "pipeline.lp"
         source.write_text(DEFAULT_SCRIPT)
-        args = ("--script", str(source))
+        args = ("--script", str(source), *(["--name", "R"] if name == "R" else []))
     elif name in SEPARATOR_GRAPHS:
         source = tmp_path / f"{name}.json"
         source.write_text(json.dumps(SEPARATOR_GRAPHS[name]))
@@ -172,6 +174,14 @@ def test_solve_flags_apply_before_the_problem_file_is_validated(
         assert "divisible by 3, got 8" in got[2]
     else:
         assert got == run_cli(capsys, "solve", "--expr", expr, *expr_flags)
+
+
+def test_delete_vertex_takes_a_label_where_no_id_is_given(capsys):
+    plain = ("solve", "--expr", "atlas(S)", "--max")
+    by_id = run_cli(capsys, *plain, "--delete-vertex", "0", "--delete-vertex", "9")
+    assert by_id[0] == EXIT_OK
+    by_label = run_cli(capsys, *plain, "--delete-vertex", "o0", "--delete-vertex", "i3")
+    assert by_label[:2] == by_id[:2]
 
 
 @pytest.mark.parametrize("mode", ["--factor", "--max"])
@@ -384,6 +394,14 @@ INAPPLICABLE_RULE_SCRIPT = "\n".join(
 #: JSON nested deeper than the parser's recursion allows
 DEEP_JSON = "[" * 10_000 + "]" * 10_000
 
+#: more digits than Python converts from text to an int, in JSON and in
+#: the construction language
+LONG_DIGITS = "9" * 5000
+LONG_INT_JSON = '{"n": 4, "edges": [[0, 1]], "x": %s}' % LONG_DIGITS
+LONG_INT_PROBLEM = (
+    '{"graph": {"n": 4, "edges": [[0, 1]]}, "deletedVertices": [%s]}' % LONG_DIGITS
+)
+
 
 def _deep_expr(depth: int = 250) -> str:
     """vsub nested ``depth`` calls deep through its first operand."""
@@ -430,6 +448,27 @@ def _deep_expr(depth: int = 250) -> str:
             "invalid JSON",
         ),
         (("solve", "--problem", "{file}"), DEEP_JSON, EXIT_PARSE, "invalid JSON"),
+        (("build", "--input", "{file}"), LONG_INT_JSON, EXIT_PARSE, "invalid JSON"),
+        (("check", "--input", "{file}"), LONG_INT_JSON, EXIT_PARSE, "invalid JSON"),
+        (
+            ("export", "--input", "{file}", "--to", "dot"),
+            LONG_INT_JSON,
+            EXIT_PARSE,
+            "invalid JSON",
+        ),
+        (("solve", "--problem", "{file}"), LONG_INT_PROBLEM, EXIT_PARSE, "invalid JSON"),
+        (
+            ("build", "--expr", f"prism({LONG_DIGITS})"),
+            None,
+            EXIT_PARSE,
+            "integer of 5000 digits is too long (line 1, column 7)",
+        ),
+        (
+            ("check", "--expr", f"esub(Q@e{LONG_DIGITS}, Q@e1)"),
+            None,
+            EXIT_PARSE,
+            "integer of 5000 digits is too long (line 1, column 9)",
+        ),
         (("build", "--expr", _deep_expr()), None, EXIT_PARSE, "nested more than"),
         (("check", "--script", "{file}"), _deep_expr(), EXIT_PARSE, "nested more than"),
         (
@@ -455,6 +494,12 @@ def _deep_expr(depth: int = 250) -> str:
         "check-deep-json",
         "export-deep-json",
         "solve-deep-problem",
+        "build-long-int-json",
+        "check-long-int-json",
+        "export-long-int-json",
+        "solve-long-int-problem",
+        "build-long-prism-size",
+        "check-long-edge-index",
         "build-deep-expr",
         "check-deep-script",
         "build-name-without-script",
@@ -474,6 +519,15 @@ def test_exit_code_matrix(tmp_path, capsys, argv, file_text, code, message):
 def test_deeply_nested_certificate_is_malformed(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "check-cert", str(path))
+    assert (code, out) == (EXIT_REFUTED, "")
+    assert err.startswith("malformed certificate: invalid JSON")
+    assert err.count("\n") == 1
+
+
+def test_a_certificate_with_a_number_too_long_to_read_is_malformed(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text('{"format": %s}' % LONG_DIGITS)
     code, out, err = run_cli(capsys, "check-cert", str(path))
     assert (code, out) == (EXIT_REFUTED, "")
     assert err.startswith("malformed certificate: invalid JSON")

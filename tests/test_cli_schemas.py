@@ -5,7 +5,9 @@ import json
 import jsonschema
 import pytest
 
+from lambdapack import atlas
 from lambdapack.cli import main
+from lambdapack.planarity import verify_kuratowski
 
 GRAPH_SCHEMA = {
     "type": "object",
@@ -38,6 +40,40 @@ ATLAS_SCHEMA = {
             "edges": {"type": "integer"},
         },
     },
+}
+
+_EDGE = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+
+#: a planar graph carries its rotation system, a non-planar one a Kuratowski
+#: subgraph as its obstruction
+CHECK_SCHEMA = {
+    "type": "object",
+    "required": [
+        "vertices", "edges", "components", "minDegree", "maxDegree",
+        "cubic", "bipartite", "planar", "connectivityAtLeast1", "connectivityAtLeast2",
+    ],
+    "additionalProperties": False,
+    "properties": {
+        "vertices": {"type": "integer"},
+        "edges": {"type": "integer"},
+        "components": {"type": "integer"},
+        "minDegree": {"type": "integer"},
+        "maxDegree": {"type": "integer"},
+        "cubic": {"type": "boolean"},
+        "bipartite": {"type": "boolean"},
+        "planar": {"type": "boolean"},
+        "coloring": {"type": "array", "items": {"enum": [0, 1]}},
+        "rotation": {"type": "array", "items": _INTEGERS},
+        "obstruction": {"type": "array", "items": _EDGE, "minItems": 9},
+    },
+    "patternProperties": {
+        "^connectivityAtLeast[123]$": {"type": "boolean"},
+        "^separator[123]$": _INTEGERS,
+    },
+    "if": {"properties": {"planar": {"const": True}}},
+    "then": {"required": ["rotation"], "not": {"required": ["obstruction"]}},
+    "else": {"required": ["obstruction"], "not": {"required": ["rotation"]}},
 }
 
 SOLVE_SCHEMA = {
@@ -134,6 +170,24 @@ def test_build_schema(capsys):
 def test_export_schema(capsys):
     data = _run_json(capsys, "export", "--expr", "atlas(K33)", "--to", "json")
     jsonschema.validate(data, GRAPH_SCHEMA)
+
+
+@pytest.mark.parametrize("expr", ["atlas(Q)", "atlas(K33)"])
+def test_check_schema(capsys, expr):
+    data = _run_json(capsys, "check", "--expr", expr, "--format", "json")
+    jsonschema.validate(data, CHECK_SCHEMA)
+    if not data["planar"]:
+        obstruction = frozenset(tuple(e) for e in data["obstruction"])
+        assert verify_kuratowski(atlas("K33"), obstruction) == "K33"
+
+
+def test_check_schema_with_separators(tmp_path, capsys):
+    # a triangle with a second triangle hung on its vertex 2
+    path = tmp_path / "cut_vertex.json"
+    path.write_text('{"n": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]}')
+    data = _run_json(capsys, "check", "--input", str(path), "--format", "json")
+    jsonschema.validate(data, CHECK_SCHEMA)
+    assert data["separator2"] == [2]
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from lambdapack.constructions import (
     vsub,
     ymerge,
     ymerge3,
-    ymerge3_detail,
 )
 from lambdapack.certify import graph_hash
 from lambdapack.dsl import run_script
@@ -62,7 +61,7 @@ def test_atlas_counts():
 
 def test_vsub_k4_k4_is_triangle_prism():
     k4 = atlas("K4")
-    g = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
+    g = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0)).graph
     assert g.n == 6
     assert is_cubic(g)
     assert connectivity_at_least(g, 3)[0]
@@ -73,7 +72,7 @@ def test_vsub_k4_k4_is_triangle_prism():
 def test_vsub_vertex_count_over_atlas_grid():
     for na, nb in itertools.product(ATLAS_NAMES, repeat=2):
         a, b = atlas(na), atlas(nb)
-        g = vsub(PortedVertex.default(a, 0), PortedVertex.default(b, 0))
+        g = vsub(PortedVertex.default(a, 0), PortedVertex.default(b, 0)).graph
         assert g.n == a.n + b.n - 2
 
 
@@ -93,7 +92,7 @@ def test_port_list_must_match_neighbors():
 
 def test_ymerge3_of_k4_matches_direct_construction():
     k4 = atlas("K4")
-    g = ymerge3(*(PortedVertex.default(k4, 0) for _ in range(3)))
+    g = ymerge3(*(PortedVertex.default(k4, 0) for _ in range(3))).graph
     assert g.n == 12
     # triangles on 3i..3i+2 joined to hubs 9,10,11, hub j to the j-th port
     edges = []
@@ -108,7 +107,7 @@ def test_ymerge3_of_k4_matches_direct_construction():
 
 def test_ymerge_copies_disjoint_and_cut_size():
     k33 = atlas("K33")
-    detail = ymerge3_detail(*(PortedVertex.default(k33, 0) for _ in range(3)))
+    detail = ymerge3(*(PortedVertex.default(k33, 0) for _ in range(3)))
     g = detail.graph
     assert g.n == 3 * (k33.n - 1) + 3
     sides = [side_vertices(g, f"Y{i}.") for i in (1, 2, 3)]
@@ -122,7 +121,7 @@ def test_esub_examples_and_orientation():
     q = atlas("Q")
     a = PortedEdge(q, 0, 1)
     b = PortedEdge(q, 0, 1)
-    g = esub(a, b)
+    g = esub(a, b).graph
     assert g.n == q.n + q.n
     # orientation pairs endpoint 1 with endpoint 1
     u = g.vertex_by_label("A.000")
@@ -132,7 +131,8 @@ def test_esub_examples_and_orientation():
 
 def test_ebridge_example():
     q = atlas("Q")
-    g, mid = ebridge(PortedEdge(q, 0, 1), PortedEdge(q, 0, 1))
+    detail = ebridge(PortedEdge(q, 0, 1), PortedEdge(q, 0, 1))
+    g, mid = detail.graph, detail.middle_edge
     assert g.n == q.n + q.n + 2
     z1, z2 = mid
     assert g.degree(z1) == 3 and g.degree(z2) == 3
@@ -149,7 +149,7 @@ def test_vsub_closure_over_atlas_grid():
     """k-connected / cubic / bipartite / planar are preserved (k <= 3)."""
     for na, nb in itertools.product(ATLAS_NAMES, repeat=2):
         a, b = atlas(na), atlas(nb)
-        g = vsub(PortedVertex.default(a, 0), PortedVertex.default(b, 0))
+        g = vsub(PortedVertex.default(a, 0), PortedVertex.default(b, 0)).graph
         assert is_cubic(g)
         if is_bipartite(a)[0] and is_bipartite(b)[0]:
             assert is_bipartite(g)[0], (na, nb)
@@ -164,7 +164,7 @@ def test_ymerge_closure_not_planarity():
     """Triple merge preserves k-connectivity, cubicity, bipartiteness."""
     for name in ATLAS_NAMES:
         a = atlas(name)
-        g = ymerge(PortedVertex.default(a, 0))
+        g = ymerge(PortedVertex.default(a, 0)).graph
         assert is_cubic(g)
         if is_bipartite(a)[0]:
             assert is_bipartite(g)[0], name
@@ -179,7 +179,7 @@ def test_esub_and_ebridge_closure_two_connected():
         a, b = atlas(na), atlas(nb)
         ea = PortedEdge(a, *a.sorted_edges()[0])
         eb = PortedEdge(b, *b.sorted_edges()[0])
-        for g in (esub(ea, eb), ebridge(ea, eb)[0]):
+        for g in (esub(ea, eb).graph, ebridge(ea, eb).graph):
             assert is_cubic(g)
             if is_bipartite(a)[0] and is_bipartite(b)[0]:
                 assert is_bipartite(g)[0], (na, nb)

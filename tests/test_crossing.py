@@ -22,8 +22,8 @@ from lambdapack import (
 from lambdapack.constructions import (
     PortedVertex,
     side_vertices,
-    vsub_detail,
-    ymerge_detail,
+    vsub,
+    ymerge,
 )
 
 A1_TAGS = {"a1.1", "a1.2", "a1.3"}
@@ -35,7 +35,7 @@ def _vsub_composites_up_to_20():
     pairs = [("K4", "K4"), ("K33", "Q"), ("Q", "K33"), ("Q", "S"), ("S", "Q")]
     for na, nb in pairs:
         a, b = atlas(na), atlas(nb)
-        detail = vsub_detail(PortedVertex.default(a, 0), PortedVertex.default(b, 0))
+        detail = vsub(PortedVertex.default(a, 0), PortedVertex.default(b, 0))
         assert detail.graph.n <= 20 and detail.graph.n % 3 == 0
         yield na, nb, detail
 
@@ -64,7 +64,7 @@ def test_every_factor_classifies_without_violation():
 def test_factor_avoiding_the_whole_cut_is_case_a2_1():
     # triangle prism: cover each triangle internally, no path meets the seam
     k4 = atlas("K4")
-    detail = vsub_detail(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
+    detail = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
     g = detail.graph
     cut = edge_cut(g, side_vertices(g, "A."))
     factor = (LambdaPath(0, 1, 2), LambdaPath(3, 4, 5))
@@ -73,7 +73,7 @@ def test_factor_avoiding_the_whole_cut_is_case_a2_1():
 
 def test_non_factor_input_rejected():
     k4 = atlas("K4")
-    detail = vsub_detail(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
+    detail = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
     g = detail.graph
     cut = edge_cut(g, side_vertices(g, "A."))
     with pytest.raises(PackingError):
@@ -82,7 +82,7 @@ def test_non_factor_input_rejected():
 
 def test_crossing_requires_three_edge_matching_cut():
     k4 = atlas("K4")
-    detail = vsub_detail(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
+    detail = vsub(PortedVertex.default(k4, 0), PortedVertex.default(k4, 0))
     g = detail.graph
     factor = (LambdaPath(0, 1, 2), LambdaPath(3, 4, 5))
     with pytest.raises(PackingError):
@@ -92,7 +92,7 @@ def test_crossing_requires_three_edge_matching_cut():
 def test_hub_bundles_have_one_or_two_components():
     """Every factor of a triple merge meets each side cut in 1 or 2 paths."""
     k33 = atlas("K33")  # 6 vertices, divisible by 6
-    detail = ymerge_detail(PortedVertex.default(k33, 0))
+    detail = ymerge(PortedVertex.default(k33, 0))
     g = detail.graph
     assert g.n == 18
     count = 0
@@ -108,7 +108,7 @@ def test_hub_bundles_have_one_or_two_components():
 
 def test_hub_bundles_on_larger_merge_spot_checks():
     s = atlas("S")  # 12 vertices, divisible by 6
-    detail = ymerge_detail(PortedVertex.default(s, 0))
+    detail = ymerge(PortedVertex.default(s, 0))
     g = detail.graph
     assert g.n == 36
     base = PackingProblem(g, Mode.FACTOR)

@@ -58,6 +58,35 @@ def test_unknown_names_report_path():
         build("SomeBinding")
 
 
+#: more digits than Python converts from text to an int
+LONG_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [(f"prism({LONG_DIGITS})", 7), (f"esub(Q@e{LONG_DIGITS} , Q@e1)", 9)],
+    ids=["prism-size", "edge-index"],
+)
+def test_an_integer_too_long_to_read_is_a_parse_error_at_its_first_digit(text, col):
+    with pytest.raises(ParseError) as exc:
+        build(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert str(exc.value).startswith("integer of 5000 digits is too long")
+    with pytest.raises(ParseError) as exc:
+        run_script(f"let A = K4\nlet B = {text}\n")
+    assert (exc.value.line, exc.value.col) == (2, len("let B = ") + col)
+
+
+@pytest.mark.parametrize("index", ["13", "9" * 20])
+def test_an_edge_index_past_the_last_edge_is_out_of_range(index):
+    assert build("esub(Q@e12, Q@e1)").n == 16  # e12 is the last of Q's 12 edges
+    with pytest.raises(ResolveError) as exc:
+        build(f"esub(Q@e{index}, Q@e1)")
+    assert str(exc.value) == (
+        f"edge index e{index} out of range (graph has 12 edges) (at $/esub[0])"
+    )
+
+
 def test_script_bindings_and_comments():
     records = run_script(
         """

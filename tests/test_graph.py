@@ -60,7 +60,7 @@ def test_neighbors_examples():
 def test_edge_cut_examples():
     # each side of a triple merge meets the hubs in exactly 3 edges
     k33 = atlas("K33")
-    g = ymerge(PortedVertex.default(k33, 0))
+    g = ymerge(PortedVertex.default(k33, 0)).graph
     for prefix in ("Y1.", "Y2.", "Y3."):
         side = [v for v in range(g.n) if g.labels[v].startswith(prefix)]
         assert edge_cut(g, side).size == 3

@@ -1,6 +1,7 @@
-"""Mutated problem files, certificates and construction scripts through
-the CLI: each run ends with an exit code from the ``cli`` docstring's table
-and at most one ``error:`` line, never with a traceback."""
+"""Mutated problem files, certificates, construction scripts and
+expressions through the CLI: each run ends with an exit code from the
+``cli`` docstring's table and at most one ``error:`` line, never with a
+traceback."""
 
 import contextlib
 import io
@@ -38,11 +39,17 @@ PROBLEM_TEXT = json.dumps(
 )
 CERT_TEXT = certificate_to_json(replay_pipeline())
 
+#: an integer of more digits than Python converts from text; ``json.dumps``
+#: refuses it too, so a document holds ``LONG_INT`` in its place and
+#: ``run_cli_on`` splices the digits into the JSON text
+LONG_DIGITS = "9" * 5000
+LONG_INT = "<5000 digits>"
+
 #: values of the wrong type, size or shape; an int put in place of a
 #: vertex count is capped at 40, so no mutant asks for a large graph
 ODD_VALUES = st.sampled_from(
     [
-        None, True, False, 0, -1, 3, 40, 2**70, -(2**70), 0.5, 1.0,
+        None, True, False, 0, -1, 3, 40, 2**70, -(2**70), LONG_INT, 0.5, 1.0,
         math.nan, math.inf, "", "0", [], {}, [0], [0, 0], [0, 1, 2], {"n": 3},
     ]
 )
@@ -75,10 +82,11 @@ def mutants(draw, text: str):
 
 def run_cli_on(doc, *argv: str) -> tuple[int, str]:
     """``cli.main`` with ``{file}`` in ``argv`` standing for a file that
-    holds ``doc``; the exit code and stderr."""
+    holds ``doc``, with ``LONG_INT`` written as its digits; the exit code
+    and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace(json.dumps(LONG_INT), LONG_DIGITS))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main([a.replace("{file}", str(path)) for a in argv])
@@ -107,13 +115,14 @@ def test_a_mutated_certificate_is_valid_or_refuted(doc):
 #: ``DEFAULT_SCRIPT`` cut into names, runs of blanks and single characters
 SCRIPT_TOKENS = re.findall(r"[A-Za-z0-9_.]+|[ \t]+|\n|.", DEFAULT_SCRIPT)
 #: what a mutation puts in; its numbers are small, so no mutant asks for a
-#: large prism even where three of them meet
+#: large prism even where three of them meet; the long one is refused as
+#: too long to read
 NEW_TOKENS = st.sampled_from(
     [
         "(", ")", "@", ",", "-", "[", "]", "=", "#", "\n", " ", "let", "atlas",
         "prism", "vsub", "ymerge3", "ymerge", "esub", "ebridge", "Q", "S", "K4",
-        "K33", "K", "H", "D", "e1", "e9", "0", "2", "3", "000", "z1", "o0",
-        "A.000", "nosuch",
+        "K33", "K", "H", "D", "e1", "e9", "0", "2", "3", "000", LONG_DIGITS,
+        "z1", "o0", "A.000", "nosuch",
     ]
 )
 
@@ -148,6 +157,40 @@ def test_a_mutated_script_builds_or_is_one_error_line(text):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["build", "--script", str(path)])
             runs.append((code, out.getvalue(), err.getvalue()))
+    (code, out, err), again = runs
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+    assert again[1] == out
+
+
+#: a construction whose integers, a prism size and two edge indices, are
+#: what ``number_mutants`` changes; the long digit strings of ``NEW_TOKENS``
+#: seldom land on the one integer of ``DEFAULT_SCRIPT``
+NUMBERED_EXPR = "esub(prism(6)@e1, atlas(Q)@e12)"
+NUMBERS = st.sampled_from(["0", "1", "2", "3", "12", "13", "000", LONG_DIGITS])
+
+
+@st.composite
+def number_mutants(draw) -> str:
+    """``NUMBERED_EXPR`` with each integer kept or swapped for one of ``NUMBERS``."""
+
+    def keep_or_swap(m: re.Match) -> str:
+        return draw(st.one_of(st.just(m.group()), NUMBERS))
+
+    return re.sub(r"\d+", keep_or_swap, NUMBERED_EXPR)
+
+
+@seed(30)
+@settings(max_examples=40, deadline=None)
+@given(number_mutants())
+def test_an_expression_with_mutated_numbers_builds_or_is_one_error_line(text):
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["build", "--expr", text])
+        runs.append((code, out.getvalue(), err.getvalue()))
     (code, out, err), again = runs
     assert code in EXIT_CODES
     assert "Traceback" not in err

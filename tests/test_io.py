@@ -145,6 +145,33 @@ def test_dot_rejects_garbage():
         from_dot('graph G {\n  "a" [id=0];\n  nonsense\n}')
 
 
+#: more digits than Python converts from text to an int
+LONG_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"a" [id=0];\ngraph G {\n}', "DOT line 1: statement outside graph block"),
+        ('graph G {\n  "a" [id=0];\n  "a" [id=1];\n}', "DOT line 3: duplicate node 'a'"),
+        ('graph G {\n  "a" [id=0];\n  "b" [id=2];\n}', "DOT node ids are not dense"),
+        (
+            'graph G {\n  "a" [id=0];\n  "a" -- "b";\n}',
+            "DOT edge references unknown node 'a' or 'b'",
+        ),
+        (
+            'graph G {\n  "a" [id=%s];\n}' % LONG_DIGITS,
+            "DOT line 2: node id of 5000 digits is too long",
+        ),
+    ],
+    ids=["outside-block", "duplicate-node", "sparse-ids", "unknown-node", "long-id"],
+)
+def test_dot_reader_rejections(text, message):
+    with pytest.raises(GraphError) as err:
+        from_dot(text)
+    assert str(err.value).startswith(message)
+
+
 def test_problem_round_trip():
     from lambdapack import Mode, PackingProblem, problem_from_json, problem_to_json
 
@@ -216,6 +243,14 @@ def test_deeply_nested_json_is_a_graph_error(depth):
     nested = '{"graph": ' + "[" * depth + "]" * depth + "}"
     with pytest.raises(GraphError, match="invalid JSON"):
         problem_from_json(nested)
+
+
+def test_a_number_too_long_to_read_is_invalid_json():
+    graph = '{"n": 4, "edges": [[0, 1]], "x": %s}' % LONG_DIGITS
+    problem = '{"graph": {"n": 4, "edges": [[0, 1]]}, "deletedVertices": [%s]}'
+    for read, text in ((from_json, graph), (problem_from_json, problem % LONG_DIGITS)):
+        with pytest.raises(GraphError, match="invalid JSON"):
+            read(text)
 
 
 #: strings of quotes, backslashes, every control character, a lone surrogate

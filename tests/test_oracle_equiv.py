@@ -66,7 +66,7 @@ def test_oracle_frozen_values():
 
 
 def test_composite_agreement():
-    g = vsub(PortedVertex.default(atlas("K4"), 0), PortedVertex.default(atlas("K4"), 0))
+    g = vsub(PortedVertex.default(atlas("K4"), 0), PortedVertex.default(atlas("K4"), 0)).graph
     _agree(PackingProblem(g, Mode.FACTOR))
     _agree(PackingProblem(g, Mode.MAX))
 
