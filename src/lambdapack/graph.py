@@ -10,8 +10,8 @@ Cached structure: a graph computes its ascending neighbour lists
 packing search), its SHA-256 edge digest and its label map on first use,
 and keeps them as long as it lives.  ``adj_masks`` is one n-bit int per
 vertex, O(n^2 / 8) bytes, built once per graph however many packing
-problems are solved on it; each problem copies it and clears its
-forbidden edges and deleted vertices.  None of these enters equality, hashing,
+problems are solved on it; a search reads it as it is, or a copy less
+the problem's forbidden edges.  None of these enters equality, hashing,
 pickling and copying (a copy rebuilds them on use), or the JSON and DOT
 forms.  Default labels ``v<i>`` are interned, so graphs share them.
 
@@ -127,8 +127,8 @@ class Graph:
     def adj_masks(self) -> tuple[int, ...]:
         """The neighbours of each vertex as an int bitmask, indexed by
         vertex id: the search's adjacency.  Built once per graph, at
-        O(n^2 / 8) bytes; a packing problem copies it and clears its
-        forbidden edges and deleted vertices."""
+        O(n^2 / 8) bytes; a search on a problem that forbids edges copies
+        it less those edges."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v

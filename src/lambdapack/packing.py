@@ -55,10 +55,11 @@ is updated only around the removed vertices.  State is kept in bitmasks
 and the frames run on an explicit stack, so input size never meets
 Python's recursion limit.
 The adjacency masks are the graph's cached ``Graph.adj_masks``, built once
-per graph at O(n^2 / 8) bytes and kept as long as the graph; each problem
-copies them and clears its own forbidden edges and deleted vertices
-(``PackingProblem.usable_adj_masks``), so repeated queries on one
-graph pay only for their greedy or their search.
+per graph at O(n^2 / 8) bytes and kept as long as the graph.  The engine
+reads that tuple itself, or, when the problem forbids edges, a copy with
+their bits cleared; a deleted vertex needs nothing, as every mask read is
+cut down to a free set, which lies within the live vertices.  So repeated
+queries on one graph pay only for their greedy or their search.
 Independent residual components are solved separately: the smaller ones
 are deepened to their least deficiency, the largest gets the rest of the
 slack, and a failure memo keyed on (component, forced edges) keeps the
@@ -202,20 +203,6 @@ class PackingProblem:
             dead |= 1 << v
         return ((1 << self.graph.n) - 1) & ~dead
 
-    def usable_adj_masks(self) -> list[int]:
-        """Adjacency restricted to live endpoints and usable edges: a copy
-        of the graph's cached ``adj_masks``, less the few forbidden edges
-        and the edges at deleted vertices."""
-        masks = list(self.graph.adj_masks)
-        for u, v in self.forbidden_edges:
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
-        for x in self.deleted_vertices:
-            for y in _bits(masks[x]):
-                masks[y] &= ~(1 << x)
-            masks[x] = 0
-        return masks
-
 
 @dataclass
 class SolveStats:
@@ -267,22 +254,10 @@ class _BudgetExceeded(Exception):
 _U, _V, _W = attrgetter("u"), attrgetter("v"), attrgetter("w")
 
 
-def enumerate_paths(
-    g: Graph, problem: PackingProblem | None = None
-) -> tuple[LambdaPath, ...]:
-    """All 3-vertex paths compatible with the problem's deleted vertices
-    and forbidden edges.
-
-    Canonical ascending order by (u, v, w).
-    """
-    if problem is None:
-        problem = PackingProblem(g, Mode.MAX)
-    elif problem.graph is not g and problem.graph != g:
-        raise PackingError("problem refers to a different graph")
-    masks = problem.usable_adj_masks()
+def enumerate_paths(g: Graph) -> tuple[LambdaPath, ...]:
+    """All 3-vertex paths of ``g``, in canonical ascending order by (u, v, w)."""
     out = []
-    for center in range(g.n):
-        nbrs = _bits(masks[center])
+    for center, nbrs in enumerate(g.adj):
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
                 out.append(LambdaPath(a, center, b))
@@ -398,7 +373,15 @@ _Frame = Generator
 
 class _Engine:
     def __init__(self, problem: PackingProblem, budget: Budget):
-        self.adj = problem.usable_adj_masks()
+        # the graph's masks, less the forbidden edges only: every read is
+        # cut down to a free set, which holds no deleted vertex
+        adj = problem.graph.adj_masks
+        if problem.forbidden_edges:
+            adj = list(adj)
+            for u, v in problem.forbidden_edges:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+        self.adj = adj
         self.alive_mask = problem.alive_mask
         self.budget = budget
         self.stats = SolveStats()

@@ -215,6 +215,51 @@ def test_rule_free_bindings_yield_no_fact():
     assert cert.final_facts == ()
 
 
+@pytest.mark.parametrize(
+    "kind, vertex, edge, message",
+    [
+        ("no_factor_at_all", None, None, "unknown fact kind 'no_factor_at_all'"),
+        (KIND_NO_FACTOR, 0, None, "fact kind no_factor vertex parameter mismatch"),
+        (
+            KIND_MINUS_VERTEX,
+            None,
+            None,
+            "fact kind no_factor_minus_vertex vertex parameter mismatch",
+        ),
+        (KIND_NO_FACTOR, None, (0, 1), "fact kind no_factor edge parameter mismatch"),
+        (KIND_AVOIDING, None, None, "fact kind no_factor_avoiding edge parameter mismatch"),
+        (
+            KIND_MINUS_VERTEX_AVOIDING,
+            1,
+            (0, 1),
+            "fact edge must not touch the deleted vertex",
+        ),
+    ],
+)
+def test_fact_rejects_each_malformed_claim(kind, vertex, edge, message):
+    with pytest.raises(CertificateError) as info:
+        certify.Fact(kind, graph_hash(atlas("S")), 12, vertex, edge)
+    assert str(info.value) == message
+
+
+def test_a_fact_grounds_only_on_its_own_graph():
+    fact = make_fact(atlas("S"), KIND_NO_FACTOR)
+    assert fact.to_problem(atlas("S")).graph == atlas("S")
+    with pytest.raises(CertificateError) as info:
+        fact.to_problem(atlas("Q"))
+    assert str(info.value) == "fact does not describe this graph"
+
+
+def test_replay_skips_unnamed_statements(default_cert):
+    """Bare expressions bind no name, so they add no graph, step or fact:
+    the certificate is the same, byte for byte."""
+    first, *rest = DEFAULT_SCRIPT.splitlines(keepends=True)
+    script = "prism(6)\n" + first + "K\n" + "".join(rest) + "prism(6)\n"
+    assert certificate_to_json(replay_pipeline(script)) == certificate_to_json(
+        default_cert
+    )
+
+
 def test_verify_base_refutes_false_claims():
     g = atlas("K33")
     fact = make_fact(g, KIND_NO_FACTOR)

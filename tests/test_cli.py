@@ -483,6 +483,26 @@ def _deep_expr(depth: int = 250) -> str:
             EXIT_PARSE,
             "--problem replaces",
         ),
+        (
+            ("check", "--expr", "atlas(Q)", "--input", "{file}"),
+            None,
+            EXIT_PARSE,
+            "give exactly one of --input, --expr, --script",
+        ),
+        (("build",), None, EXIT_PARSE, "give exactly one of --input, --expr, --script"),
+        (("check", "--script", "{file}"), None, EXIT_PARSE, "script is empty"),
+        (
+            ("solve", "--script", "{file}", "--name", "Z", "--max"),
+            "let K = atlas(Q)\n",
+            EXIT_PARSE,
+            "script binds no name 'Z'",
+        ),
+        (
+            ("sample", "-n", "5", "--seed", "1"),
+            None,
+            EXIT_PRECONDITION,
+            "cubic sampling needs even n >= 4",
+        ),
     ],
     ids=[
         "malformed-json",
@@ -504,6 +524,11 @@ def _deep_expr(depth: int = 250) -> str:
         "check-deep-script",
         "build-name-without-script",
         "solve-name-with-problem",
+        "check-two-sources",
+        "build-no-source",
+        "check-empty-script",
+        "solve-unknown-name",
+        "sample-odd-n",
     ],
 )
 def test_exit_code_matrix(tmp_path, capsys, argv, file_text, code, message):

@@ -9,6 +9,7 @@ merges are checked for the 1-or-2 components-per-side-bundle invariant.
 import pytest
 
 from lambdapack import (
+    Graph,
     LambdaPath,
     Mode,
     PackingError,
@@ -25,6 +26,7 @@ from lambdapack.constructions import (
     vsub,
     ymerge,
 )
+from lambdapack.pipeline import find_seams
 
 A1_TAGS = {"a1.1", "a1.2", "a1.3"}
 A2_TAGS = {"a2.1", "a2.2", "a2.3"}
@@ -127,3 +129,14 @@ def test_hub_bundles_on_larger_merge_spot_checks():
         for side_cut in detail.side_edges:
             bundle = [p for p in factor if any(e in side_cut for e in p.edges)]
             assert len(bundle) in (1, 2)
+
+
+def test_find_seams_skips_a_whole_graph_side_and_a_cut_that_is_no_matching():
+    # the star's sides, A. = {centre} and B. = the leaves, share one cut,
+    # whose three edges meet at the centre
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)], ["A.a", "B.b", "B.c", "B.d"])
+    assert len(edge_cut(star, [0]).cut_edges) == 3
+    assert find_seams(star) == ()
+    # A. holds every vertex of the path, so it cuts nothing
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], ["A.a", "A.b", "A.c", "A.d"])
+    assert find_seams(path) == ()

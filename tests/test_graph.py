@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lambdapack import (
+    DegreeProfile,
     Graph,
     GraphError,
     Mode,
@@ -37,6 +38,21 @@ def test_rejects_loops_and_parallel_edges():
         Graph.from_edges(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, frozenset(), "negative vertex count -1"),
+        (3, frozenset({(1, 1)}), "loop edge at vertex 1"),
+        (3, frozenset({(2, 0)}), "edge (2,0) not normalized"),
+    ],
+)
+def test_direct_construction_rejects_each_invalid_field(n, edges, message):
+    """``Graph(...)`` itself, without ``from_edges`` to normalize first."""
+    with pytest.raises(GraphError) as info:
+        Graph(n, edges, tuple(f"v{i}" for i in range(max(n, 0))))
+    assert str(info.value) == message
+
+
 def test_labels_must_be_total():
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 1)], labels=["a", "b"])
@@ -55,6 +71,14 @@ def test_neighbors_examples():
 
     with pytest.raises(GraphError):
         k4.neighbors(7)
+
+
+def test_edge_by_labels_needs_an_edge():
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert p3.edge_by_labels("v2", "v1") == (1, 2)
+    with pytest.raises(GraphError) as info:
+        p3.edge_by_labels("v0", "v2")
+    assert str(info.value) == "no edge between labels 'v0' and 'v2'"
 
 
 def test_edge_cut_examples():
@@ -109,6 +133,7 @@ def test_degree_profile_and_handshake():
     assert is_cubic(q)
     # a cubic graph has an even vertex count
     assert q.n % 2 == 0
+    assert degree_profile(Graph.from_edges(0, [])) == DegreeProfile(0, 0, ())
 
 
 def test_bipartite_witness_is_proper():
@@ -132,6 +157,10 @@ def test_connectivity_examples():
 
     with pytest.raises(GraphError):
         connectivity_at_least(p3, 3)  # needs n >= 4
+    for k in (0, 4):
+        with pytest.raises(GraphError) as info:
+            connectivity_at_least(atlas("Q"), k)
+        assert str(info.value) == f"connectivity check supports k in 1..3, got {k}"
 
 
 def test_connectivity_witness_disconnects():

@@ -26,6 +26,7 @@ from lambdapack import (
     enumerate_paths,
     solve,
 )
+from lambdapack.graph import induced_subgraph
 from lambdapack.pipeline import build_pipeline, find_seams
 from lambdapack import oracle_solve, packing
 from lambdapack.sampling import sample_cubic, sample_subcubic
@@ -91,17 +92,6 @@ def test_paths_through_a_cube_vertex():
         assert len(through) == 9  # 3 centered + 6 ended
 
 
-def test_enumerate_respects_constraints():
-    q = atlas("Q")
-    problem = PackingProblem(
-        q, Mode.MAX, deleted_vertices=frozenset({0}),
-        forbidden_edges=frozenset({(1, 3)}),
-    )
-    for p in enumerate_paths(q, problem):
-        assert 0 not in p.vertices
-        assert (1, 3) not in p.edges
-
-
 def test_factor_of_six_prism():
     r = solve(PackingProblem(atlas("S"), Mode.FACTOR))
     assert r.verdict == "SAT"
@@ -148,6 +138,62 @@ def test_monotone_under_vertex_deletion():
         for v in range(g.n):
             r = solve(PackingProblem(g, Mode.MAX, deleted_vertices=frozenset({v})))
             assert r.value >= base - 1
+
+
+def _exclusion_cases(seed: int):
+    """Random cubic and subcubic graphs of 12-60 vertices (past the
+    oracle's limit), each with a random set of 1-4 vertices and one of
+    1-4 edges."""
+    rng = random.Random(seed)
+    for trial in range(60):
+        if trial % 2:
+            g = sample_cubic(rng.randrange(12, 61, 2), seed=seed + trial)
+        else:
+            g = sample_subcubic(rng.randint(12, 60), seed=seed + trial)
+        edges = sorted(g.edges)
+        yield (
+            g,
+            frozenset(rng.sample(range(g.n), rng.randint(1, 4))),
+            frozenset(rng.sample(edges, min(len(edges), rng.randint(1, 4)))),
+        )
+
+
+def _same_answers(g: Graph, h: Graph, **constraints) -> int:
+    """Solve ``g`` under ``constraints`` and ``h`` bare, in MAX, two
+    ``target=`` queries and (where the live count allows) FACTOR, and
+    check each pair that both finish agrees on verdict and value; returns
+    the number of pairs compared.  ``solve`` re-checks every witness."""
+    budget = Budget(max_nodes=20_000)
+    queries = [(Mode.MAX, None), (Mode.MAX, h.n // 3), (Mode.MAX, h.n // 3 - 1)]
+    if h.n % 3 == 0:
+        queries.append((Mode.FACTOR, None))
+    compared = 0
+    for mode, target in queries:
+        mine = solve(PackingProblem(g, mode, **constraints), budget, target=target)
+        theirs = solve(PackingProblem(h, mode), budget, target=target)
+        if "INDETERMINATE" in (mine.verdict, theirs.verdict):
+            continue
+        assert (mine.verdict, mine.value) == (theirs.verdict, theirs.value), (
+            g, constraints, mode, target,
+        )
+        compared += 1
+    return compared
+
+
+def test_deleting_vertices_solves_as_the_induced_subgraph():
+    compared = 0
+    for g, deleted, _ in _exclusion_cases(3101):
+        h, _ = induced_subgraph(g, set(range(g.n)) - deleted)
+        compared += _same_answers(g, h, deleted_vertices=deleted)
+    assert compared > 150
+
+
+def test_forbidding_edges_solves_as_the_graph_less_them():
+    compared = 0
+    for g, _, forbidden in _exclusion_cases(3102):
+        h = Graph.from_edges(g.n, g.edges - forbidden, g.labels)
+        compared += _same_answers(g, h, forbidden_edges=forbidden)
+    assert compared > 150
 
 
 def test_deleted_forced_endpoint_is_unsat():
@@ -798,12 +844,20 @@ def test_a_constrained_solve_leaves_the_graph_masks_whole():
         deleted_vertices=frozenset({0}),
         forbidden_edges=frozenset({(a, b), (c, d)}),
     )
-    masks = problem.usable_adj_masks()
-    assert masks[0] == 0 and not any(m & 1 for m in masks)
-    assert not masks[a] >> b & 1 and not masks[c] >> d & 1
+    masks = packing._Engine(problem, Budget()).adj
+    # the engine clears the forbidden edges' bits and nothing else: the
+    # deleted vertex stays, as every free set of the search excludes it
+    expected = list(full)
+    for u, v in ((a, b), (c, d)):
+        expected[u] &= ~(1 << v)
+        expected[v] &= ~(1 << u)
+    assert masks == expected
+    assert {v for v in range(g.n) if masks[v] != full[v]} == {a, b, c, d}
     solve(problem)
     assert g.adj_masks == full
-    assert PackingProblem(g, Mode.MAX).usable_adj_masks() == list(full)
+    for deleted in (frozenset(), frozenset({0}), frozenset({0, 5, 7})):
+        unforbidden = PackingProblem(g, Mode.MAX, deleted_vertices=deleted)
+        assert packing._Engine(unforbidden, Budget()).adj is g.adj_masks
     fresh = Graph.from_edges(g.n, g.edges, g.labels)
     for mode in (Mode.MAX, Mode.FACTOR):
         mine, theirs = solve(PackingProblem(g, mode)), solve(PackingProblem(fresh, mode))
@@ -826,13 +880,13 @@ def test_adj_masks_are_built_once_per_graph(monkeypatch):
     cached.__set_name__(Graph, "adj_masks")
     monkeypatch.setattr(Graph, "adj_masks", cached)
     seen = []
-    usable = PackingProblem.usable_adj_masks
+    engine = packing._Engine.__init__
 
-    def spy(self):
-        seen.append(self.graph.adj_masks)
-        return usable(self)
+    def spy(self, problem, budget):
+        engine(self, problem, budget)
+        seen.append((problem, self.adj))
 
-    monkeypatch.setattr(PackingProblem, "usable_adj_masks", spy)
+    monkeypatch.setattr(packing._Engine, "__init__", spy)
     g = atlas("S")
     solve(PackingProblem(g, Mode.FACTOR))
     solve(PackingProblem(g, Mode.MAX))
@@ -841,7 +895,10 @@ def test_adj_masks_are_built_once_per_graph(monkeypatch):
     assert len(list(enumerate_factors(PackingProblem(g, Mode.FACTOR)))) == 45
     enumerate_paths(g)
     assert builds == [g]
-    assert len(seen) > 45 and all(m is seen[0] for m in seen)
+    assert len(seen) > 45
+    for problem, adj in seen:
+        # a problem that forbids edges takes a copy with their bits cleared
+        assert (adj is g.adj_masks) == (not problem.forbidden_edges)
 
 
 def test_the_recheck_and_the_oracle_never_read_the_masks(monkeypatch):
