@@ -6,12 +6,14 @@ when graphs are composed).  Loops and parallel edges are rejected at
 construction time.
 
 Cached structure: a graph computes its ascending neighbour lists
-(``adj``), its neighbour bitmasks (``adj_masks``, the adjacency of the
-packing search), its SHA-256 edge digest and its label map on first use,
-and keeps them as long as it lives.  ``adj_masks`` is one n-bit int per
-vertex, O(n^2 / 8) bytes, built once per graph however many packing
-problems are solved on it; a search reads it as it is, or a copy less
-the problem's forbidden edges.  None of these enters equality, hashing,
+(``adj``, which the lowest-id packing greedy reads), its neighbour
+bitmasks (``adj_masks``, the adjacency of the packing search), its SHA-256
+edge digest and its label map on first use, and keeps them as long as it
+lives.  ``adj_masks`` is one n-bit int per vertex, O(n^2 / 8) bytes, built
+at the graph's first packing search (not its first solve: a solve the
+greedy answers reads only ``adj``) however many problems are solved on it;
+a search reads it as it is, or a copy less the problem's forbidden
+edges.  None of these enters equality, hashing,
 pickling and copying (a copy rebuilds them on use), or the JSON and DOT
 forms.  Default labels ``v<i>`` are interned, so graphs share them.
 
@@ -121,14 +123,17 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        for ns in nbrs:
+            ns.sort()
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
         """The neighbours of each vertex as an int bitmask, indexed by
         vertex id: the search's adjacency.  Built once per graph, at
-        O(n^2 / 8) bytes; a search on a problem that forbids edges copies
-        it less those edges."""
+        O(n^2 / 8) bytes, when a packing search first reads it; a solve
+        the lowest-id greedy answers never does.  A search on a problem
+        that forbids edges copies it less those edges."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v

@@ -24,7 +24,9 @@ and walks the components only when it misses.
 Every mode first tries a witness phase: a greedy packing that covers the
 forced edges and then the lowest-id free vertex each time, built without
 backtracking and at no search node, which gives up as soon as it has
-dropped more than ``slack`` vertices.  When it meets the mode's first
+dropped more than ``slack`` vertices.  It reads the graph's adjacency
+lists and keeps its free set as one byte per vertex, so it costs O(n + m)
+and builds no bitmask.  When it meets the mode's first
 slack (for MAX live mod 3, then, if that misses and the residue bound is
 larger, the bound: each a lower bound on the uncovered vertices of any
 packing, so the greedy packing is optimal; for ``target=k`` it stops at k
@@ -54,12 +56,15 @@ The mask of the vertices of residual degree 1 travels down the frames and
 is updated only around the removed vertices.  State is kept in bitmasks
 and the frames run on an explicit stack, so input size never meets
 Python's recursion limit.
-The adjacency masks are the graph's cached ``Graph.adj_masks``, built once
-per graph at O(n^2 / 8) bytes and kept as long as the graph.  The engine
-reads that tuple itself, or, when the problem forbids edges, a copy with
-their bits cleared; a deleted vertex needs nothing, as every mask read is
-cut down to a free set, which lies within the live vertices.  So repeated
-queries on one graph pay only for their greedy or their search.
+The adjacency masks are the graph's cached ``Graph.adj_masks``, built at
+O(n^2 / 8) bytes the first time any query on the graph reads masks (a
+search, the fewest-candidates greedy, MAX's residue bound or the
+battery's hole cover) and kept as long as the graph; a query the lowest-id
+greedy answers builds none.  The engine reads that tuple itself, or, when
+the problem forbids edges, a copy with their bits cleared; a deleted
+vertex needs nothing, as every mask read is cut down to a free set, which
+lies within the live vertices.  So repeated queries on one graph pay only
+for their greedy or their search.
 Independent residual components are solved separately: the smaller ones
 are deepened to their least deficiency, the largest gets the rest of the
 slack, and a failure memo keyed on (component, forced edges) keeps the
@@ -373,15 +378,7 @@ _Frame = Generator
 
 class _Engine:
     def __init__(self, problem: PackingProblem, budget: Budget):
-        # the graph's masks, less the forbidden edges only: every read is
-        # cut down to a free set, which holds no deleted vertex
-        adj = problem.graph.adj_masks
-        if problem.forbidden_edges:
-            adj = list(adj)
-            for u, v in problem.forbidden_edges:
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-        self.adj = adj
+        self.problem = problem
         self.alive_mask = problem.alive_mask
         self.budget = budget
         self.stats = SolveStats()
@@ -389,6 +386,32 @@ class _Engine:
         self.start = time.monotonic()
         # (component, forced edges in it) -> largest slack known to fail
         self.memo: dict[tuple[int, tuple[Edge, ...]], int] = {}
+
+    @functools.cached_property
+    def adj(self) -> tuple[int, ...] | list[int]:
+        """The search's adjacency: the graph's masks, less the forbidden
+        edges only, as every read is cut down to a free set, which holds no
+        deleted vertex.  Built at the first read, so a query the lowest-id
+        greedy answers builds none."""
+        adj = self.problem.graph.adj_masks
+        if self.problem.forbidden_edges:
+            adj = list(adj)
+            for u, v in self.problem.forbidden_edges:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+        return adj
+
+    @functools.cached_property
+    def nbrs(self) -> tuple[tuple[int, ...], ...] | list[tuple[int, ...]]:
+        """The greedy's adjacency: the graph's ascending lists, less the
+        forbidden edges."""
+        nbrs = self.problem.graph.adj
+        if self.problem.forbidden_edges:
+            nbrs = list(nbrs)
+            for u, v in self.problem.forbidden_edges:
+                nbrs[u] = tuple(x for x in nbrs[u] if x != v)
+                nbrs[v] = tuple(x for x in nbrs[v] if x != u)
+        return nbrs
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -664,24 +687,31 @@ class _Engine:
 
     def _cover_forced(
         self, forced: tuple[Edge, ...]
-    ) -> tuple[list[Triple], int] | None:
+    ) -> tuple[list[Triple], bytearray] | None:
         """The greedies' first step: each forced edge not yet covered takes
-        its least candidate path.  Returns those paths and the free vertices
-        they leave, or None when an edge has no candidate."""
-        free = self.alive_mask
+        its least candidate path.  Returns those paths and the free set they
+        leave, one byte per vertex, or None when an edge has no candidate."""
+        free = bytearray(b"\x01") * self.problem.graph.n
+        for v in self.problem.deleted_vertices:
+            free[v] = 0
+        nbrs = self.nbrs
         out: list[Triple] = []
         covered: set[Edge] = set()
         for u, v in forced:
             if (u, v) in covered:
                 continue
-            if not ((free >> u) & 1 and (free >> v) & 1):
+            if not (free[u] and free[v]):
                 return None
-            path = min(self._paths_through_edge(u, v, free), default=None)
+            path = min(
+                [(x, u, v) if x < v else (v, u, x) for x in nbrs[u] if free[x] and x != v]
+                + [(u, v, y) if u < y else (y, v, u) for y in nbrs[v] if free[y] and y != u],
+                default=None,
+            )
             if path is None:
                 return None
             out.append(path)
             covered.update(LambdaPath.of(*path).edges)
-            free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+            free[path[0]] = free[path[1]] = free[path[2]] = 0
         return out, free
 
     def greedy(
@@ -694,44 +724,47 @@ class _Engine:
         Each forced edge not yet covered takes its first candidate path;
         then the lowest-id free vertex takes its first candidate path, or is
         dropped, which returns None as soon as more than ``slack`` are.  It
-        stops once it holds ``paths`` paths, and costs no search node.
+        stops once it holds ``paths`` paths, and costs no search node.  It
+        reads the adjacency lists, never the masks.
         """
         start = self._cover_forced(forced)
         if start is None:
             return None
         out, free = start
         live = self.alive_mask.bit_count()
-        adj = self.adj
+        nbrs = self.nbrs
+        cap = len(free) if paths is None else paths
         dropped = 0
-        while free and (paths is None or len(out) < paths):
-            low = free & -free
-            v = low.bit_length() - 1
+        for v in range(len(free)):
+            if not free[v]:
+                continue
+            if len(out) >= cap:
+                break
             # v is the lowest free vertex, so the least candidate path is
             # (v, c, w) for the lowest neighbour c that has another free
             # neighbour, w the lowest of those; else (a, v, b) for v's two
-            # lowest neighbours
-            nbrs = adj[v] & free
+            # lowest neighbours.  v leaves the free set first, so no w is v
+            free[v] = 0
             path = None
-            rest = nbrs
-            while rest:
-                c = rest & -rest
-                rest ^= c
-                far = adj[c.bit_length() - 1] & free & ~low
-                if far:
-                    path = (low, c, far & -far)
-                    break
-            if path is None and nbrs & (nbrs - 1):
-                second = nbrs & (nbrs - 1)
-                path = (nbrs & -nbrs, low, second & -second)
+            near = []
+            for c in nbrs[v]:
+                if free[c]:
+                    for w in nbrs[c]:
+                        if free[w]:
+                            path = (v, c, w)
+                            break
+                    if path is not None:
+                        break
+                    near.append(c)
             if path is None:
-                free ^= low
-                dropped += 1
-                if dropped > slack:
-                    return None
-                continue
-            a, b, c = path
-            out.append((a.bit_length() - 1, b.bit_length() - 1, c.bit_length() - 1))
-            free &= ~(a | b | c)
+                if len(near) < 2:
+                    dropped += 1
+                    if dropped > slack:
+                        return None
+                    continue
+                path = (near[0], v, near[1])
+            out.append(path)
+            free[path[0]] = free[path[1]] = free[path[2]] = 0
         return out if live - 3 * len(out) <= slack else None
 
     def greedy_fewest(
@@ -754,7 +787,10 @@ class _Engine:
         start = self._cover_forced(forced)
         if start is None:
             return None
-        out, free = start
+        out = start[0]
+        free = self.alive_mask
+        for a, b, c in out:
+            free &= ~((1 << a) | (1 << b) | (1 << c))
         live = self.alive_mask.bit_count()
         adj = self.adj
         deg = [0] * len(adj)

@@ -763,29 +763,19 @@ def test_out_of_memory_is_one_error_line(tmp_path):
     ``error: out of memory`` and no traceback.  Each runs at once in a
     child process whose own address space is capped at 512 MB, so the
     test process keeps its limits."""
-    resource = pytest.importorskip("resource")
-    cap = 512 * 2**20
     huge = tmp_path / "huge.json"
     huge.write_text('{"n": 100000000, "edges": []}')
     argvs = [
         ["check", "--input", str(huge)],  # fails building the default labels
         ["check", "--expr", "prism(99999999999999999999)"],
-        ["solve", "--expr", "prism(100000)", "--max"],  # Graph.adj_masks
+        # greedy misses once o1 and o2 are gone, so the search builds the
+        # 200,000-vertex graph's adjacency masks (about 2.5 GB)
+        [
+            "solve", "--expr", "prism(100000)", "--factor",
+            "--delete-vertex", "o1", "--delete-vertex", "o2",
+        ],
     ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "lambdapack", *argv],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
-        for argv in argvs
-    ]
+    procs = [capped_cli(argv) for argv in argvs]
     for argv, proc in zip(argvs, procs):
         err = proc.communicate(timeout=120)[1]
         assert proc.returncode == EXIT_PARSE, (argv, err)
@@ -793,6 +783,35 @@ def test_out_of_memory_is_one_error_line(tmp_path):
         assert [x for x in err.splitlines() if x.startswith("error:")] == [
             "error: out of memory"
         ]
+
+
+def capped_cli(argv, stdout=subprocess.DEVNULL):
+    """``python -m lambdapack *argv`` from this source checkout, started in
+    a child process whose own address space is capped at 512 MB."""
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "lambdapack", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+def test_a_greedy_answer_builds_no_masks_on_a_large_graph():
+    """MAX on the 200,000-vertex prism is answered by the lowest-id greedy,
+    which reads adjacency lists, so it fits in 512 MB of address space;
+    the adjacency masks alone would need about 2.5 GB."""
+    proc = capped_cli(["solve", "--expr", "prism(100000)", "--max"], subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK, err
+    answer = json.loads(out)
+    assert (answer["verdict"], answer["value"], answer["nodes"]) == ("OPTIMUM", 66_666, 0)
 
 
 def test_console_script_entry_point():

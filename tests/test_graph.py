@@ -315,7 +315,7 @@ def test_a_solved_graph_pickles_without_its_caches():
     g = Graph.from_edges(600, edges)
     fresh = pickle.dumps(g)
     assert solve(PackingProblem(g, Mode.FACTOR)).verdict == "SAT"
-    g.adj, g.digest, g.label_to_id  # build the caches the solve did not
+    g.adj, g.adj_masks, g.digest, g.label_to_id  # build the caches the solve did not
     assert {"adj", "adj_masks", "digest", "label_to_id"} <= set(vars(g))
     assert len(pickle.dumps(g)) == len(fresh)
     h = pickle.loads(pickle.dumps(g))

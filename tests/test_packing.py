@@ -26,8 +26,8 @@ from lambdapack import (
     enumerate_paths,
     solve,
 )
-from lambdapack.graph import induced_subgraph
-from lambdapack.pipeline import build_pipeline, find_seams
+from lambdapack.graph import induced_subgraph, norm_edge
+from lambdapack.pipeline import build_pipeline, family, find_seams
 from lambdapack import oracle_solve, packing
 from lambdapack.sampling import sample_cubic, sample_subcubic
 
@@ -918,3 +918,151 @@ def test_the_recheck_and_the_oracle_never_read_the_masks(monkeypatch):
             check_packing(problem, res.paths)
         best = oracle_solve(problem)
         assert (best.verdict, best.value) == (res.verdict, res.value), problem
+
+
+def _counting_masks(monkeypatch):
+    """Replace ``Graph.adj_masks`` by a cached property that logs each graph
+    it builds masks for; returns that log."""
+    builds = []
+    build = Graph.adj_masks.func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    cached = functools.cached_property(counting)
+    cached.__set_name__(Graph, "adj_masks")
+    monkeypatch.setattr(Graph, "adj_masks", cached)
+    return builds
+
+
+def test_masks_are_built_only_when_a_search_runs(monkeypatch):
+    """Solves the lowest-id greedy answers at 0 nodes read adjacency lists
+    alone; a search builds the graph's masks once; a problem that forbids
+    edges leaves both of the graph's structures as they were."""
+    builds = _counting_masks(monkeypatch)
+    path = Graph.from_edges(3000, [(i, i + 1) for i in range(2999)])
+    cubic = sample_cubic(600, 3)
+    answered = [
+        solve(PackingProblem(path, Mode.FACTOR)),
+        solve(PackingProblem(path, Mode.MAX)),
+        solve(PackingProblem(path, Mode.MAX), target=1000),
+        solve(PackingProblem(cubic, Mode.MAX), target=150),
+        solve(PackingProblem(cubic, Mode.MAX), target=100),
+    ]
+    assert [(r.verdict, r.stats.nodes) for r in answered] == [
+        ("SAT", 0), ("OPTIMUM", 0), ("SAT", 0), ("SAT", 0), ("SAT", 0)
+    ]
+    assert "adj_masks" not in vars(path) and "adj_masks" not in vars(cubic)
+    assert builds == []
+    n = build_pipeline().graph("N")
+    assert "adj_masks" not in vars(n)
+    r = solve(PackingProblem(n, Mode.FACTOR))
+    assert (r.verdict, r.stats.nodes) == ("UNSAT", 97)
+    solve(PackingProblem(n, Mode.MAX))
+    assert builds == [n]
+    lists, masks = n.adj, n.adj_masks
+    copies = (list(lists), list(masks))
+    cut = frozenset(sorted(n.edges)[::7])
+    for mode in (Mode.FACTOR, Mode.MAX):
+        solve(PackingProblem(n, mode, forbidden_edges=cut))
+    engine = packing._Engine(PackingProblem(n, Mode.MAX, forbidden_edges=cut), Budget())
+    assert engine.nbrs != lists and engine.adj != masks
+    assert n.adj is lists and n.adj_masks is masks
+    assert (list(lists), list(masks)) == copies
+    assert builds == [n]
+
+
+def _mask_cover_forced(adj, free, forced):
+    """The greedies' first step on masks, as the search's adjacency had it
+    before the greedies read lists: the reference for ``_cover_forced``."""
+    out, covered = [], set()
+    for u, v in forced:
+        if (u, v) in covered:
+            continue
+        if not ((free >> u) & 1 and (free >> v) & 1):
+            return None
+        ends = [(x, u, v) for x in packing._bits(adj[u] & free & ~(1 << v))]
+        ends += [(u, v, y) for y in packing._bits(adj[v] & free & ~(1 << u))]
+        if not ends:
+            return None
+        path = min(LambdaPath.of(*t).vertices for t in ends)
+        out.append(path)
+        covered.update(LambdaPath(*path).edges)
+        free &= ~((1 << path[0]) | (1 << path[1]) | (1 << path[2]))
+    return out, free
+
+
+def _mask_greedy(adj, alive, forced, slack, paths=None):
+    """The lowest-id greedy on masks: the reference for ``_Engine.greedy``."""
+    start = _mask_cover_forced(adj, alive, forced)
+    if start is None:
+        return None
+    out, free = start
+    dropped = 0
+    while free and (paths is None or len(out) < paths):
+        low = free & -free
+        nbrs = adj[low.bit_length() - 1] & free
+        path = None
+        rest = nbrs
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            far = adj[c.bit_length() - 1] & free & ~low
+            if far:
+                path = (low, c, far & -far)
+                break
+        if path is None and nbrs & (nbrs - 1):
+            second = nbrs & (nbrs - 1)
+            path = (nbrs & -nbrs, low, second & -second)
+        if path is None:
+            free ^= low
+            dropped += 1
+            if dropped > slack:
+                return None
+            continue
+        out.append(tuple(b.bit_length() - 1 for b in path))
+        free &= ~(path[0] | path[1] | path[2])
+    return out if alive.bit_count() - 3 * len(out) <= slack else None
+
+
+def test_list_greedy_matches_the_mask_greedy():
+    """The greedies' step on adjacency lists and a byte per vertex gives
+    the same paths, or the same miss, as the mask reference, over random
+    deleted, forbidden and forced sets on the first two family members and
+    sampled cubic and subcubic graphs, at slacks 0, live mod 3 and live,
+    with and without a cap on the paths."""
+    rng = random.Random(3217)
+    graphs = [family(m).graph(name) for m in (0, 1) for name in "KRHDFN"]
+    graphs += [sample(n, seed) for sample in (sample_cubic, sample_subcubic)
+               for n in (12, 30, 64, 150) for seed in range(3)]
+    outcomes = Counter()
+    for g in graphs:
+        edges = g.sorted_edges()
+        for _ in range(12):
+            dead = frozenset(rng.sample(range(g.n), rng.randrange(4)))
+            cut = frozenset(rng.sample(edges, rng.randrange(min(4, len(edges)) + 1)))
+            forced = frozenset(rng.sample(sorted(set(edges) - cut), rng.randrange(3)))
+            problem = PackingProblem(g, Mode.MAX, dead, forced, cut)
+            engine = packing._Engine(problem, Budget())
+            adj = [
+                sum(1 << u for u in nbrs if norm_edge(u, v) not in cut)
+                for v, nbrs in enumerate(g.adj)
+            ]
+            alive = problem.alive_mask
+            order = tuple(sorted(forced))
+            start = engine._cover_forced(order)
+            expected = _mask_cover_forced(adj, alive, order)
+            if start is None or expected is None:
+                assert start is expected is None, problem
+            else:
+                got = sum(1 << v for v, here in enumerate(start[1]) if here)
+                assert (start[0], got) == expected, problem
+            live = alive.bit_count()
+            for slack in (0, live % 3, live):
+                for cap in (None, live // 6, live // 3):
+                    wit = engine.greedy(order, slack, cap)
+                    assert wit == _mask_greedy(adj, alive, order, slack, cap), problem
+                    outcomes[wit is None] += 1
+            assert "adj_masks" not in vars(engine)
+    assert outcomes[True] > 1000 and outcomes[False] > 1000
